@@ -18,6 +18,7 @@ from .data import (
     best_category_percentile,
     filter_years,
     group_reference_sets,
+    institution_samples,
     parse_records,
     select_institution_sample,
     serialize_dataset,
@@ -51,6 +52,7 @@ from .errors import (
     DegenerateVarianceError,
     EmptyDatasetError,
     RejectThresholdError,
+    SampleSizeError,
     UnknownInstitutionError,
 )
 from .kernels import normal_cdf, normal_quantile, t_cdf, t_quantile

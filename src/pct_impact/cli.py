@@ -15,6 +15,8 @@ import json
 import math
 import os
 import sys
+import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -22,14 +24,15 @@ from typing import Optional, Sequence
 from .data import (
     Dataset,
     IngestionConfig,
+    InstitutionSample,
     parse_records,
     filter_years,
     group_reference_sets,
-    select_institution_sample,
+    institution_samples,
     write_rejects_report,
 )
 from .effects import summarize
-from .errors import CitationImpactError, ConfigurationError
+from .errors import CitationImpactError, ConfigurationError, UnknownInstitutionError
 from .percentiles import (
     PercentileFormula,
     PercentileScheme,
@@ -274,35 +277,39 @@ def _require_inverted(inverted: bool) -> None:
         )
 
 
-def _institution_values(dataset: Dataset, pct: dict) -> dict[str, list[float]]:
-    values: dict[str, list[float]] = {}
-    for label in sorted(dataset.institutions):
-        sample = select_institution_sample(dataset, label)
-        values[label] = [pct[r.id] for r in sample.records]
-    return values
+def _require_known(samples: dict[str, InstitutionSample], labels: Sequence[str]) -> None:
+    for label in labels:
+        if label not in samples:
+            raise UnknownInstitutionError(label, list(samples))
 
 
-def _top_counts(cfg: AnalysisConfig, dataset: Dataset) -> dict[str, tuple[float, int]]:
-    """(top count, n) per institution under the configured counting mode."""
-    counts: dict[str, tuple[float, int]] = {}
+def _institution_values(
+    samples: dict[str, InstitutionSample], pct: dict
+) -> dict[str, list[float]]:
+    return {
+        label: [pct[r.id] for r in sample.records] for label, sample in samples.items()
+    }
+
+
+def _top_counts(
+    cfg: AnalysisConfig, dataset: Dataset, samples: dict[str, InstitutionSample]
+) -> dict[str, tuple[float, int]]:
+    """(top count, n) per institution under the configured counting mode.
+
+    Binary counting weighs each paper 0 or 1 by its analysis percentile;
+    fractional counting uses the tie-split weight of the paper's best set.
+    """
     if cfg.counting == "binary":
         pct, inverted = _analysis_percentiles(cfg, dataset)
         _require_inverted(inverted)
-        for label, vals in _institution_values(dataset, pct).items():
-            counts[label] = (
-                float(sum(classify_top_x(v, cfg.top_x) for v in vals)),
-                len(vals),
-            )
+        weight = {pid: float(classify_top_x(v, cfg.top_x)) for pid, v in pct.items()}
     else:
         rows = assign_best_percentiles(dataset, cfg.percentile_scheme, x=cfg.top_x)
         weight = {row.paper_id: row.top_x_weight for row in rows}
-        for label in sorted(dataset.institutions):
-            sample = select_institution_sample(dataset, label)
-            counts[label] = (
-                math.fsum(weight[r.id] for r in sample.records),
-                sample.n,
-            )
-    return counts
+    return {
+        label: (math.fsum(weight[r.id] for r in sample.records), sample.n)
+        for label, sample in samples.items()
+    }
 
 
 def _write_text(cfg: AnalysisConfig, name: str, text: str) -> Path:
@@ -344,11 +351,11 @@ def cmd_percentiles(cfg: AnalysisConfig) -> int:
     dataset = _load_dataset(cfg)
     rows = assign_best_percentiles(dataset, cfg.percentile_scheme, x=cfg.top_x)
     for refset in group_reference_sets(dataset):
-        cits = [m.citations for m in refset.members]
-        ties = sum(1 for c in set(cits) if cits.count(c) > 1)
+        sizes = Counter(m.citations for m in refset.members).values()
+        ties = sum(1 for size in sizes if size > 1)
         print(
             f"reference set {refset.key.category}:{refset.key.pub_year}: "
-            f"{len(cits)} papers, {ties} tie group(s)",
+            f"{len(refset.members)} papers, {ties} tie group(s)",
             file=sys.stderr,
         )
     buf = io.StringIO()
@@ -368,7 +375,7 @@ def cmd_summary(cfg: AnalysisConfig) -> int:
     pct, _ = _analysis_percentiles(cfg, dataset)
     stats = {
         label: summarize(vals)
-        for label, vals in _institution_values(dataset, pct).items()
+        for label, vals in _institution_values(institution_samples(dataset), pct).items()
     }
     table = summary_table(stats, cfg.mu0, ci_level=cfg.ci_level)
     _emit_table(cfg, "summary", table)
@@ -390,11 +397,9 @@ def cmd_compare(cfg: AnalysisConfig) -> int:
     dataset = _load_dataset(cfg)
     pairs = cfg.pair_list
     pct, _ = _analysis_percentiles(cfg, dataset)
-    values = _institution_values(dataset, pct)
-    for a, b in pairs:
-        for label in (a, b):
-            if label not in values:
-                select_institution_sample(dataset, label)  # raises with known labels
+    samples = institution_samples(dataset)
+    values = _institution_values(samples, pct)
+    _require_known(samples, [label for pair in pairs for label in pair])
     table = compare_table(
         values,
         pairs,
@@ -419,7 +424,7 @@ def cmd_compare(cfg: AnalysisConfig) -> int:
 
 def cmd_topshare(cfg: AnalysisConfig) -> int:
     dataset = _load_dataset(cfg)
-    counts = _top_counts(cfg, dataset)
+    counts = _top_counts(cfg, dataset, institution_samples(dataset))
     table = topshare_table(counts, cfg.p0, cfg.top_x, ci_level=cfg.ci_level)
     _emit_table(cfg, "topshare", table)
     series = _table_series(table, (0, 2, 3))
@@ -440,11 +445,9 @@ def cmd_topshare(cfg: AnalysisConfig) -> int:
 def cmd_topcompare(cfg: AnalysisConfig) -> int:
     dataset = _load_dataset(cfg)
     pairs = cfg.pair_list
-    counts = _top_counts(cfg, dataset)
-    for a, b in pairs:
-        for label in (a, b):
-            if label not in counts:
-                select_institution_sample(dataset, label)
+    samples = institution_samples(dataset)
+    counts = _top_counts(cfg, dataset, samples)
+    _require_known(samples, [label for pair in pairs for label in pair])
     table = topcompare_table(counts, pairs, cfg.top_x, ci_level=cfg.ci_level)
     _emit_table(cfg, "topcompare", table)
     return 0
@@ -465,8 +468,7 @@ def cmd_robustness(cfg: AnalysisConfig) -> int:
     weight = {row.paper_id: row.top_x_weight for row in rows}
 
     reports = {}
-    for label in sorted(dataset.institutions):
-        sample = select_institution_sample(dataset, label)
+    for label, sample in institution_samples(dataset).items():
         if sample.n < 2:
             print(f"warning: institution {label!r} has n < 2; skipped", file=sys.stderr)
             continue
@@ -504,11 +506,11 @@ def cmd_bootstrap(cfg: AnalysisConfig) -> int:
         ci_method=CiMethod(cfg.ci),
     )
     pct, inverted = _analysis_percentiles(cfg, dataset)
-    values = _institution_values(dataset, pct)
+    samples = institution_samples(dataset)
+    values = _institution_values(samples, pct)
 
     def sample_for(label: str) -> list[float]:
-        if label not in values:
-            select_institution_sample(dataset, label)
+        _require_known(samples, [label])
         if statistic in (BootstrapStatistic.PROPORTION, BootstrapStatistic.PROP_DIFF):
             _require_inverted(inverted)
             return [float(classify_top_x(v, cfg.top_x)) for v in values[label]]
@@ -560,17 +562,26 @@ _COMMANDS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = resolve_config(args)
-        return _COMMANDS[args.command](cfg)
-    except (ConfigurationError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except CitationImpactError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            cfg = resolve_config(args)
+            return _COMMANDS[args.command](cfg)
+        except ConfigurationError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+        except CitationImpactError as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return 1
+        except ValueError as exc:  # e.g. an unparsable number in a config file
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ __all__ = [
     "filter_years",
     "group_reference_sets",
     "best_category_percentile",
+    "institution_samples",
     "select_institution_sample",
 ]
 
@@ -332,9 +333,23 @@ def best_category_percentile(per_category: Sequence[tuple[str, float]]) -> float
     return min(values)
 
 
+def institution_samples(dataset: Dataset) -> dict[str, InstitutionSample]:
+    """Every institution's sample from one pass, keyed by sorted label.
+
+    Records keep their dataset order within each sample.
+    """
+    groups: dict[str, list[PublicationRecord]] = {}
+    for r in dataset.records:
+        groups.setdefault(r.institution, []).append(r)
+    return {
+        label: InstitutionSample(institution=label, records=tuple(groups[label]))
+        for label in sorted(groups)
+    }
+
+
 def select_institution_sample(dataset: Dataset, institution: str) -> InstitutionSample:
     """All records of one institution; labels are case-sensitive."""
-    records = tuple(r for r in dataset.records if r.institution == institution)
-    if not records:
-        raise UnknownInstitutionError(institution, sorted(dataset.institutions))
-    return InstitutionSample(institution=institution, records=records)
+    samples = institution_samples(dataset)
+    if institution not in samples:
+        raise UnknownInstitutionError(institution, list(samples))
+    return samples[institution]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .errors import DegenerateVarianceError
+from .errors import DegenerateVarianceError, SampleSizeError
 from .kernels import normal_cdf, normal_quantile, t_cdf, t_quantile
 
 __all__ = [
@@ -197,7 +197,7 @@ def one_sample_t(stats: SummaryStats, mu0: float, ci_level: float = 0.95) -> Mea
     the effect size.
     """
     if stats.n < 2 or stats.sd is None:
-        raise ValueError("one_sample_t: need n >= 2 with a defined SD")
+        raise SampleSizeError("one_sample_t: need n >= 2 with a defined SD")
     if stats.sd <= 0:
         raise DegenerateVarianceError("one_sample_t: sample SD is zero")
     if not 0.0 < ci_level < 1.0:
@@ -227,9 +227,9 @@ def pooled_sd(a: SummaryStats, b: SummaryStats) -> float:
     sp = sqrt(((n1-1) s1^2 + (n2-1) s2^2) / (n1 + n2 - 2))
     """
     if a.sd is None or b.sd is None:
-        raise ValueError("pooled_sd: both samples need a defined SD")
+        raise SampleSizeError("pooled_sd: both samples need a defined SD")
     if a.n + b.n < 3:
-        raise ValueError("pooled_sd: need n1 + n2 >= 3")
+        raise SampleSizeError("pooled_sd: need n1 + n2 >= 3")
     if a.sd == 0 and b.sd == 0:
         raise DegenerateVarianceError("pooled_sd: both sample SDs are zero")
     num = (a.n - 1) * a.sd**2 + (b.n - 1) * b.sd**2
@@ -276,7 +276,7 @@ def two_sample_welch_t(
     and Welch variants report comparable magnitudes.
     """
     if a.n < 2 or b.n < 2 or a.sd is None or b.sd is None:
-        raise ValueError("two_sample_welch_t: both groups need n >= 2")
+        raise SampleSizeError("two_sample_welch_t: both groups need n >= 2")
     va, vb = a.sd**2 / a.n, b.sd**2 / b.n
     if va + vb == 0:
         raise DegenerateVarianceError("two_sample_welch_t: both variances are zero")

@@ -18,6 +18,14 @@ class DataError(CitationImpactError):
     """Input data cannot support the requested computation."""
 
 
+class SampleSizeError(DataError, ValueError):
+    """A sample is too small for the requested test or resampling.
+
+    Also a ValueError, so callers that guarded the size checks with
+    ValueError keep working.
+    """
+
+
 class EmptyDatasetError(DataError):
     """An operation produced or received a dataset with no records."""
 

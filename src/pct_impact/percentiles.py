@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -133,10 +134,9 @@ def percentile_rank(
         raise ValueError("percentile_rank: ids and citations lengths differ")
 
     ranks = rank_descending(citations) if scheme.inverted else rank_ascending(citations)
-    counts: dict[int, int] = {}
-    for c in citations:
-        counts[c] = counts.get(c, 0) + 1
-    fts = fractional_top_share(citations, x)
+    counts = Counter(citations)
+    threshold, _, _, w_tie = _top_x_split(sorted(citations), x)
+    w_threshold = float(w_tie)
 
     out = []
     for pid, c, i in zip(ids, citations, ranks):
@@ -152,7 +152,9 @@ def percentile_rank(
                 rank=i,
                 percentile=pct,
                 tied_with=counts[c],
-                top_x_weight=float(fts.weight_for(c)),
+                top_x_weight=(
+                    1.0 if c > threshold else w_threshold if c == threshold else 0.0
+                ),
             )
         )
     return out
@@ -204,6 +206,27 @@ class FractionalTopShare:
         return Fraction(self.count_above + self.tie_count, len(self.weights))
 
 
+def _top_x_split(ordered: Sequence[int], x: float) -> tuple[int, int, int, Fraction]:
+    """Threshold count, papers above it, papers tied at it, and the tie weight.
+
+    ordered is one reference set's citations sorted ascending. The n*x/100
+    top slots are filled from the top: the threshold is the citation count
+    at descending position ceil(n*x/100), and the papers tied there share
+    the slots left over equally (clamped to [0, 1]). Exact rational
+    arithmetic, so the weights are Waltman & Schreiber's exact 1, w, 0.
+    """
+    if not 0.0 < x < 100.0:
+        raise ValueError(f"top-x share: x must be in (0, 100), got {x}")
+    n = len(ordered)
+    slots = Fraction(n) * Fraction(x) / 100
+    threshold = ordered[n - math.ceil(slots)]  # descending position k is ordered[n - k]
+    end = bisect_right(ordered, threshold)
+    count_above = n - end
+    tie_count = end - bisect_left(ordered, threshold)
+    w_tie = min(max((slots - count_above) / tie_count, Fraction(0)), Fraction(1))
+    return threshold, count_above, tie_count, w_tie
+
+
 def fractional_top_share(citations: Sequence[int], x: float) -> FractionalTopShare:
     """Distribute n*x/100 top slots over a reference set, splitting ties.
 
@@ -212,17 +235,8 @@ def fractional_top_share(citations: Sequence[int], x: float) -> FractionalTopSha
     """
     if not citations:
         raise ValueError("fractional_top_share: empty citation list")
-    if not 0.0 < x < 100.0:
-        raise ValueError(f"fractional_top_share: x must be in (0, 100), got {x}")
+    threshold, count_above, tie_count, w_tie = _top_x_split(sorted(citations), x)
     n = len(citations)
-    slots = Fraction(n) * Fraction(x) / 100
-    ordered = sorted(citations)  # ascending; descending position k is ordered[n - k]
-    threshold = ordered[n - math.ceil(slots)]
-    count_above = n - bisect_right(ordered, threshold)
-    tie_count = bisect_right(ordered, threshold) - bisect_left(ordered, threshold)
-    remaining = slots - count_above
-    w_tie = remaining / tie_count
-    w_tie = min(max(w_tie, Fraction(0)), Fraction(1))
     weights = tuple(
         Fraction(1) if c > threshold else (w_tie if c == threshold else Fraction(0))
         for c in citations
@@ -230,7 +244,7 @@ def fractional_top_share(citations: Sequence[int], x: float) -> FractionalTopSha
     return FractionalTopShare(
         weights=weights,
         share=sum(weights, Fraction(0)) / n,
-        slots=slots,
+        slots=Fraction(n) * Fraction(x) / 100,
         threshold_value=threshold,
         count_above=count_above,
         tie_count=tie_count,

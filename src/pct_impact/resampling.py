@@ -15,9 +15,8 @@ from enum import Enum
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .errors import DegenerateVarianceError
+from .errors import DegenerateVarianceError, SampleSizeError
 from .kernels import normal_cdf
 
 __all__ = [
@@ -93,13 +92,13 @@ def _normalize_data(
         a = np.asarray(data[0], dtype=float)
         b = np.asarray(data[1], dtype=float)
         if a.size < 2 or b.size < 2:
-            raise ValueError("both samples need at least 2 observations")
+            raise SampleSizeError("both samples need at least 2 observations")
         return a, b
     a = np.asarray(data, dtype=float)
     if a.ndim != 1:
         raise ValueError(f"{statistic.value} needs a single flat sample")
     if a.size < 2:
-        raise ValueError("sample needs at least 2 observations")
+        raise SampleSizeError("sample needs at least 2 observations")
     return a, None
 
 
@@ -217,12 +216,14 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> RankSumResult:
         raise ValueError("mann_whitney: both samples must be non-empty")
     n1, n2 = x.size, y.size
     pooled = np.concatenate([x, y])
-    ranks = rankdata(pooled)  # midranks
-    r1 = float(ranks[:n1].sum())
+    _, group, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    # a tie group ends at sorted position cumsum(counts); its midrank is the
+    # mean of the positions it spans
+    midranks = np.cumsum(counts) - (counts - 1) / 2.0
+    r1 = float(midranks[group[:n1]].sum())
     u1 = r1 - n1 * (n1 + 1) / 2.0
 
     n = n1 + n2
-    _, counts = np.unique(pooled, return_counts=True)
     tie_term = float((counts**3 - counts).sum())
     var_u = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if var_u <= 0:

@@ -187,7 +187,7 @@ class TestPercentilesCommand:
         assert weights.count("0.285714") == 7
         assert weights.count("0") == 40
         err = capsys.readouterr().err
-        assert "50 papers" in err  # set size logged
+        assert "50 papers, 3 tie group(s)" in err  # set size and tie groups logged
 
     def test_multi_category_best_wins(self, tmp_path):
         csv_path = tmp_path / "multi.csv"
@@ -254,6 +254,41 @@ class TestBootstrapCommand:
         assert code == 0
         payload = json.loads((tmp_path / "bootstrap.json").read_text())
         assert payload["statistic"] == "mean_diff"
+
+
+class TestSmallInstitution:
+    """B has a single paper: too small for any test, which is a data error."""
+
+    @pytest.fixture
+    def small_csv(self, tmp_path):
+        path = tmp_path / "small.csv"
+        path.write_text(
+            HEADER + "a1,A,2001,CAT,9,10\n" + "a2,A,2001,CAT,5,40\n"
+            + "a3,A,2001,CAT,1,70\n" + "b1,B,2001,CAT,3,55\n",
+            encoding="utf-8",
+        )
+        return path
+
+    def test_compare_exits_1(self, small_csv, tmp_path, capsys):
+        code = run("compare", "--input", small_csv, "--pairs", "A:B",
+                   "--out-dir", tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("data error: pooled_sd")
+
+    def test_bootstrap_exits_1(self, small_csv, tmp_path, capsys):
+        code = run("bootstrap", "--input", small_csv, "--statistic", "mean",
+                   "--institution", "B", "--out-dir", tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("data error: sample needs at least 2")
+
+    def test_summary_warning_is_one_line(self, small_csv, tmp_path, capsys):
+        code = run("summary", "--input", small_csv, "--out-dir", tmp_path,
+                   "--format", "tsv")
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "warning: group 'B' has n < 2 or zero variance; emitting undefined markers"
+        ]
 
 
 class TestErrorPaths:

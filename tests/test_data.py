@@ -12,6 +12,7 @@ from pct_impact.data import (
     best_category_percentile,
     filter_years,
     group_reference_sets,
+    institution_samples,
     parse_records,
     select_institution_sample,
     serialize_dataset,
@@ -253,6 +254,15 @@ class TestSelectInstitution:
         with pytest.raises(UnknownInstitutionError):
             select_institution_sample(ds, "x")
         assert select_institution_sample(ds, "X").n == 1
+
+    def test_one_pass_grouping_matches_scan(self):
+        rng = random.Random(3)
+        ds = _dataset([f"p{k},{rng.choice('cab')},2001,A,{k},\n" for k in range(60)])
+        samples = institution_samples(ds)
+        assert list(samples) == ["a", "b", "c"]
+        for label, sample in samples.items():
+            assert sample.institution == label
+            assert sample.records == tuple(r for r in ds.records if r.institution == label)
 
 
 class TestRecordInvariants:
