@@ -264,6 +264,12 @@ def _analysis_percentiles(cfg: AnalysisConfig, dataset: Dataset) -> tuple[dict, 
     with the configured scheme.
     """
     if all(r.inv_percentile is not None for r in dataset.records):
+        if cfg.scheme != "common" or cfg.zero_adjust:
+            print(
+                "warning: percentiles read from the inv_percentile column; "
+                "--scheme and --zero-adjust do not apply",
+                file=sys.stderr,
+            )
         return {r.id: r.inv_percentile for r in dataset.records}, True
     rows = assign_best_percentiles(dataset, cfg.percentile_scheme, x=cfg.top_x)
     return {row.paper_id: row.percentile for row in rows}, cfg.inverted

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import IO, Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -49,7 +49,9 @@ class PublicationRecord:
     """One paper: its home institution, fields, year and citation count.
 
     inv_percentile is an optional pre-supplied inverted percentile in
-    [0, 100] (smaller is better, 100 means uncited).
+    [0, 100] (smaller is better, 100 means uncited). The messages of the
+    ValueErrors raised here are the reasons parse_records reports for
+    rejected rows.
     """
 
     id: str
@@ -61,11 +63,11 @@ class PublicationRecord:
 
     def __post_init__(self):
         if not self.id:
-            raise ValueError("record id must be non-empty")
+            raise ValueError("empty id")
         if not self.institution:
-            raise ValueError("institution must be non-empty")
+            raise ValueError("empty institution")
         if not self.categories:
-            raise ValueError("categories must be non-empty")
+            raise ValueError("empty category")
         if self.citations < 0:
             raise ValueError(f"citations must be >= 0, got {self.citations}")
         if self.inv_percentile is not None and not 0.0 <= self.inv_percentile <= 100.0:
@@ -138,16 +140,6 @@ class RejectedRow:
     reason: str
 
 
-@dataclass
-class _PendingRecord:
-    line: int
-    institution: str
-    pub_year: int
-    citations: int
-    inv_percentile: Optional[float]
-    categories: list[str] = field(default_factory=list)
-
-
 def _coerce_stream(source: Union[IO[bytes], IO[str], bytes, str]) -> Iterable[str]:
     if isinstance(source, bytes):
         return io.StringIO(source.decode("utf-8-sig"))
@@ -180,8 +172,7 @@ def parse_records(
         raise ConfigurationError(f"missing required column(s): {', '.join(missing)}")
     has_pct = "inv_percentile" in fields
 
-    pending: dict[str, _PendingRecord] = {}
-    order: list[str] = []
+    records: dict[str, PublicationRecord] = {}
     rejects: list[RejectedRow] = []
     n_rows = 0
 
@@ -189,56 +180,32 @@ def parse_records(
         n_rows += 1
         line = reader.line_num
         try:
-            rec_id = (row.get("id") or "").strip()
-            if not rec_id:
-                raise ValueError("empty id")
-            institution = (row.get("institution") or "").strip()
-            if not institution:
-                raise ValueError("empty institution")
-            pub_year = int((row.get("pub_year") or "").strip())
-            cats = [c.strip() for c in (row.get("category") or "").split("|") if c.strip()]
-            if not cats:
-                raise ValueError("empty category")
-            citations = int((row.get("citations") or "").strip())
-            if citations < 0:
-                raise ValueError(f"citations must be >= 0, got {citations}")
             pct_raw = (row.get("inv_percentile") or "").strip() if has_pct else ""
-            inv_pct = float(pct_raw) if pct_raw else None
-            if inv_pct is not None and not 0.0 <= inv_pct <= 100.0:
-                raise ValueError(f"inv_percentile must be in [0, 100], got {inv_pct}")
+            cats = (c.strip() for c in (row.get("category") or "").split("|"))
+            record = PublicationRecord(
+                id=(row.get("id") or "").strip(),
+                institution=(row.get("institution") or "").strip(),
+                pub_year=int((row.get("pub_year") or "").strip()),
+                categories=tuple(dict.fromkeys(c for c in cats if c)),
+                citations=int((row.get("citations") or "").strip()),
+                inv_percentile=float(pct_raw) if pct_raw else None,
+            )
         except ValueError as exc:
             rejects.append(RejectedRow(row=line, reason=str(exc)))
             continue
 
-        prev = pending.get(rec_id)
+        prev = records.get(record.id)
         if prev is None:
-            pending[rec_id] = _PendingRecord(
-                line=line,
-                institution=institution,
-                pub_year=pub_year,
-                citations=citations,
-                inv_percentile=inv_pct,
-                categories=cats,
+            records[record.id] = record
+        elif (prev.institution, prev.pub_year, prev.citations, prev.inv_percentile) != (
+            record.institution, record.pub_year, record.citations, record.inv_percentile
+        ):
+            rejects.append(
+                RejectedRow(row=line, reason=f"conflicts with earlier row for id {record.id!r}")
             )
-            order.append(rec_id)
         else:
-            same = (
-                prev.institution == institution
-                and prev.pub_year == pub_year
-                and prev.citations == citations
-                and prev.inv_percentile == inv_pct
-            )
-            if not same:
-                rejects.append(
-                    RejectedRow(
-                        row=line,
-                        reason=f"conflicts with earlier row for id {rec_id!r}",
-                    )
-                )
-                continue
-            for c in cats:
-                if c not in prev.categories:
-                    prev.categories.append(c)
+            categories = tuple(dict.fromkeys(prev.categories + record.categories))
+            records[record.id] = replace(prev, categories=categories)
 
     if n_rows == 0:
         raise EmptyDatasetError("input contains a header but no data rows")
@@ -247,21 +214,10 @@ def parse_records(
             f"{len(rejects)} of {n_rows} rows rejected, above the "
             f"{config.reject_threshold:.0%} threshold"
         )
-    if not pending:
+    if not records:
         raise EmptyDatasetError("no valid records after rejecting malformed rows")
 
-    records = tuple(
-        PublicationRecord(
-            id=rid,
-            institution=pending[rid].institution,
-            pub_year=pending[rid].pub_year,
-            categories=tuple(pending[rid].categories),
-            citations=pending[rid].citations,
-            inv_percentile=pending[rid].inv_percentile,
-        )
-        for rid in order
-    )
-    return Dataset(records=records), rejects
+    return Dataset(records=tuple(records.values())), rejects
 
 
 def _format_pct(p: Optional[float]) -> str:

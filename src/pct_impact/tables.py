@@ -202,8 +202,10 @@ def compare_table(
         rows += ["Mann-Whitney z", "Mann-Whitney P value"]
     cols = [f"{a} vs {b}" for a, b in pairs]
     cells: list[list[Cell]] = [[] for _ in rows]
+    labels = dict.fromkeys(label for pair in pairs for label in pair)
+    stats = {label: summarize(samples[label]) for label in labels}
     for a, b in pairs:
-        sa, sb = summarize(samples[a]), summarize(samples[b])
+        sa, sb = stats[a], stats[b]
         r = two_sample_pooled_t(sa, sb, ci_level=ci_level)
         col = [
             Cell(r.estimate),

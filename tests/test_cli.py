@@ -89,6 +89,24 @@ class TestSummaryCommand:
         assert "mean = 45" in capsys.readouterr().out
 
 
+class TestSuppliedPercentiles:
+    """A complete inv_percentile column overrides the percentile scheme flags."""
+
+    WARNING = ("warning: percentiles read from the inv_percentile column; "
+               "--scheme and --zero-adjust do not apply")
+
+    @pytest.mark.parametrize("flags", [["--scheme", "incites"], ["--zero-adjust"]])
+    def test_ignored_flag_warns_once(self, inst_csv, tmp_path, capsys, flags):
+        assert run("summary", "--input", inst_csv, *flags, "--out-dir", tmp_path,
+                   "--format", "tsv") == 0
+        assert capsys.readouterr().err.splitlines() == [self.WARNING]
+
+    def test_no_scheme_flags_no_warning(self, inst_csv, tmp_path, capsys):
+        assert run("summary", "--input", inst_csv, "--out-dir", tmp_path,
+                   "--format", "tsv") == 0
+        assert self.WARNING not in capsys.readouterr().err.splitlines()
+
+
 class TestCompareCommand:
     def test_pairs_and_optional_rows(self, inst_csv, tmp_path, capsys):
         code = run("compare", "--input", inst_csv, "--pairs", "A:B,A:C,C:B",

@@ -9,6 +9,7 @@ from pct_impact.data import (
     Dataset,
     IngestionConfig,
     PublicationRecord,
+    RejectedRow,
     best_category_percentile,
     filter_years,
     group_reference_sets,
@@ -94,6 +95,40 @@ class TestParse:
         )
         assert len(rejects) == 1 and "conflicts" in rejects[0].reason
         assert ds.records[0].categories == ("A",)
+
+    def test_repeated_category_counted_once(self):
+        for rows in (["p1,i,2001,A|A,5,\n"], ["p1,i,2001,A,5,\n", "p1,i,2001,A,5,\n"]):
+            [rs] = group_reference_sets(_dataset(rows + ["p2,i,2001,A,3,\n"]))
+            assert [m.id for m in rs.members] == ["p1", "p2"]
+        ds = _dataset(["p1,i,2001,A,5,\n", "p1,i,2001,B|B,5,\n"])
+        assert ds.records[0].categories == ("A", "B")
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            (",i,2001,A,1,", "empty id"),
+            ("q,,2001,A,1,", "empty institution"),
+            ("q,i,x,A,1,", "invalid literal for int() with base 10: 'x'"),
+            ("q,i,2001, | ,1,", "empty category"),
+            ("q,i,2001,A,y,", "invalid literal for int() with base 10: 'y'"),
+            ("q,i,2001,A,-3,", "citations must be >= 0, got -3"),
+            ("q,i,2001,A,1,abc", "could not convert string to float: 'abc'"),
+            ("q,i,2001,A,1,140", "inv_percentile must be in [0, 100], got 140.0"),
+            ("p1,i,2001,B,6,", "conflicts with earlier row for id 'p1'"),
+        ],
+    )
+    def test_reject_reasons(self, row, reason):
+        ds, rejects = parse_records(
+            HEADER + "p1,i,2001,A,5,\n" + row + "\n", IngestionConfig(reject_threshold=0.6)
+        )
+        assert rejects == [RejectedRow(row=3, reason=reason)]
+        assert [r.id for r in ds.records] == ["p1"]
+
+    def test_several_faults_report_first_conversion(self):
+        _, rejects = parse_records(
+            HEADER + "p1,i,2001,A,5,\n" + ",i,x,A,1,\n", IngestionConfig(reject_threshold=0.6)
+        )
+        assert [r.reason for r in rejects] == ["invalid literal for int() with base 10: 'x'"]
 
     def test_bytes_and_stream_inputs(self):
         text = HEADER + "p1,i,2001,A,2,\n"
