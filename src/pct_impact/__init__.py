@@ -15,7 +15,6 @@ from .data import (
     ReferenceSet,
     ReferenceSetKey,
     RejectedRow,
-    best_category_percentile,
     filter_years,
     group_reference_sets,
     institution_samples,
@@ -60,7 +59,6 @@ from .percentiles import (
     BestPercentileRow,
     Counting,
     FractionalTopShare,
-    NormalizedScore,
     OutlierSensitivityReport,
     PercentileAssignment,
     PercentileFormula,
@@ -71,7 +69,6 @@ from .percentiles import (
     fractional_top_share,
     institution_top_share,
     mncs,
-    normalized_scores,
     outlier_sensitivity,
     outlier_sensitivity_report,
     percentile_rank,

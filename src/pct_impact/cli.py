@@ -271,8 +271,10 @@ def _analysis_percentiles(cfg: AnalysisConfig, dataset: Dataset) -> tuple[dict, 
                 file=sys.stderr,
             )
         return {r.id: r.inv_percentile for r in dataset.records}, True
-    rows = assign_best_percentiles(dataset, cfg.percentile_scheme, x=cfg.top_x)
-    return {row.paper_id: row.percentile for row in rows}, cfg.inverted
+    best = assign_best_percentiles(
+        group_reference_sets(dataset), cfg.percentile_scheme, x=cfg.top_x
+    )
+    return {pid: row.percentile for pid, row in best.items()}, cfg.inverted
 
 
 def _require_inverted(inverted: bool) -> None:
@@ -310,8 +312,10 @@ def _top_counts(
         _require_inverted(inverted)
         weight = {pid: float(classify_top_x(v, cfg.top_x)) for pid, v in pct.items()}
     else:
-        rows = assign_best_percentiles(dataset, cfg.percentile_scheme, x=cfg.top_x)
-        weight = {row.paper_id: row.top_x_weight for row in rows}
+        best = assign_best_percentiles(
+            group_reference_sets(dataset), cfg.percentile_scheme, x=cfg.top_x
+        )
+        weight = {pid: row.top_x_weight for pid, row in best.items()}
     return {
         label: (math.fsum(weight[r.id] for r in sample.records), sample.n)
         for label, sample in samples.items()
@@ -355,8 +359,9 @@ def _emit_chart(cfg: AnalysisConfig, stem: str, spec: CiChartSpec) -> None:
 
 def cmd_percentiles(cfg: AnalysisConfig) -> int:
     dataset = _load_dataset(cfg)
-    rows = assign_best_percentiles(dataset, cfg.percentile_scheme, x=cfg.top_x)
-    for refset in group_reference_sets(dataset):
+    refsets = group_reference_sets(dataset)
+    best = assign_best_percentiles(refsets, cfg.percentile_scheme, x=cfg.top_x)
+    for refset in refsets:
         sizes = Counter(m.citations for m in refset.members).values()
         ties = sum(1 for size in sizes if size > 1)
         print(
@@ -366,13 +371,13 @@ def cmd_percentiles(cfg: AnalysisConfig) -> int:
         )
     buf = io.StringIO()
     buf.write("paper_id,reference_set,rank,percentile,tie_group_size,top_x_weight\n")
-    for row in rows:
+    for row in (best[r.id] for r in dataset.records):
         buf.write(
             f"{row.paper_id},{row.reference_set},{row.rank},"
             f"{row.percentile:.6g},{row.tied_with},{row.top_x_weight:.6g}\n"
         )
     path = _write_text(cfg, "percentiles.csv", buf.getvalue())
-    print(f"wrote {len(rows)} percentile assignments to {path}")
+    print(f"wrote {len(best)} percentile assignments to {path}")
     return 0
 
 
@@ -470,8 +475,8 @@ def cmd_robustness(cfg: AnalysisConfig) -> int:
     for rs in refsets:
         for m in rs.members:
             member_keys.setdefault(m.id, []).append(rs.key)
-    rows = assign_best_percentiles(dataset, cfg.percentile_scheme, x=cfg.top_x)
-    weight = {row.paper_id: row.top_x_weight for row in rows}
+    best = assign_best_percentiles(refsets, cfg.percentile_scheme, x=cfg.top_x)
+    weight = {pid: row.top_x_weight for pid, row in best.items()}
 
     reports = {}
     for label, sample in institution_samples(dataset).items():

@@ -35,7 +35,6 @@ __all__ = [
     "write_rejects_report",
     "filter_years",
     "group_reference_sets",
-    "best_category_percentile",
     "institution_samples",
     "select_institution_sample",
 ]
@@ -66,8 +65,10 @@ class PublicationRecord:
             raise ValueError("empty id")
         if not self.institution:
             raise ValueError("empty institution")
-        if not self.categories:
+        if not self.categories or "" in self.categories:
             raise ValueError("empty category")
+        if len(set(self.categories)) != len(self.categories):
+            raise ValueError(f"repeated category in {self.categories}")
         if self.citations < 0:
             raise ValueError(f"citations must be >= 0, got {self.citations}")
         if self.inv_percentile is not None and not 0.0 <= self.inv_percentile <= 100.0:
@@ -276,17 +277,6 @@ def group_reference_sets(dataset: Dataset) -> list[ReferenceSet]:
         ReferenceSet(key=k, members=tuple(groups[k]))
         for k in sorted(groups, key=lambda k: (k.category, k.pub_year))
     ]
-
-
-def best_category_percentile(per_category: Sequence[tuple[str, float]]) -> float:
-    """Best (lowest) inverted percentile over a paper's subject categories."""
-    if not per_category:
-        raise ValueError("best_category_percentile: empty list")
-    values = [v for _, v in per_category]
-    for v in values:
-        if not 0.0 <= v <= 100.0:
-            raise ValueError(f"best_category_percentile: value out of [0, 100]: {v}")
-    return min(values)
 
 
 def institution_samples(dataset: Dataset) -> dict[str, InstitutionSample]:

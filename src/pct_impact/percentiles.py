@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .data import Dataset, InstitutionSample, group_reference_sets
+from .data import InstitutionSample, ReferenceSet
 from .errors import CapabilityError, DegenerateReferenceError
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "Counting",
     "TopShareResult",
     "FractionalTopShare",
-    "NormalizedScore",
     "OutlierSensitivityReport",
     "rank_ascending",
     "rank_descending",
@@ -36,7 +35,6 @@ __all__ = [
     "fractional_top_share",
     "institution_top_share",
     "mncs",
-    "normalized_scores",
     "outlier_sensitivity",
     "outlier_sensitivity_report",
     "assign_best_percentiles",
@@ -295,12 +293,6 @@ def institution_top_share(
     )
 
 
-@dataclass(frozen=True)
-class NormalizedScore:
-    paper_id: str
-    ratio: float
-
-
 def mncs(citations: Sequence[float], ref_means: Sequence[float]) -> float:
     """Mean normalized citation score: average of citations / field mean."""
     if len(citations) != len(ref_means):
@@ -313,17 +305,6 @@ def mncs(citations: Sequence[float], ref_means: Sequence[float]) -> float:
             f"mncs: reference means must be positive, got {bad[0]}"
         )
     return math.fsum(c / m for c, m in zip(citations, ref_means)) / len(citations)
-
-
-def normalized_scores(
-    ids: Sequence[str], citations: Sequence[float], ref_means: Sequence[float]
-) -> list[NormalizedScore]:
-    """Per-paper citation ratios backing an MNCS value."""
-    mncs(citations, ref_means)  # reuse validation
-    return [
-        NormalizedScore(paper_id=i, ratio=c / m)
-        for i, c, m in zip(ids, citations, ref_means)
-    ]
 
 
 @dataclass(frozen=True)
@@ -448,17 +429,18 @@ class BestPercentileRow:
 
 
 def assign_best_percentiles(
-    dataset: Dataset, scheme: PercentileScheme, x: float = 10.0
-) -> list[BestPercentileRow]:
+    refsets: Sequence[ReferenceSet], scheme: PercentileScheme, x: float = 10.0
+) -> dict[str, BestPercentileRow]:
     """Percentile every paper within each of its reference sets, keep the best.
 
-    A paper with k categories is ranked in k sets; the reported percentile
-    is the one where it performs best (lowest when inverted, highest
-    otherwise), together with that set's tie metadata and fractional
-    weight. Rows come back in the dataset's record order.
+    refsets are a dataset's sets from group_reference_sets. A paper with k
+    categories is ranked in k sets; the reported percentile is the one
+    where it performs best (lowest when inverted, highest otherwise),
+    together with that set's tie metadata and fractional weight. Rows are
+    keyed by paper id.
     """
     per_paper: dict[str, BestPercentileRow] = {}
-    for refset in group_reference_sets(dataset):
+    for refset in refsets:
         cits = [m.citations for m in refset.members]
         ids = [m.id for m in refset.members]
         assignments = percentile_rank(cits, scheme, x=x, ids=ids)
@@ -479,4 +461,4 @@ def assign_best_percentiles(
                 per_paper[a.paper_id] = row
             elif not scheme.inverted and row.percentile > prev.percentile:
                 per_paper[a.paper_id] = row
-    return [per_paper[r.id] for r in dataset.records]
+    return per_paper

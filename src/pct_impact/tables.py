@@ -3,6 +3,9 @@
 Cells keep their full-precision value next to a display precision, so TSV
 output shows rounded numbers while JSON output preserves everything. A
 p-value below 5e-5 displays as "<.0001".
+
+Each builder computes one result per column, then lists one (label, cell)
+entry per row, where cell maps a column's result to that row's Cell.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .effects import (
     SummaryStats,
@@ -33,6 +36,7 @@ __all__ = [
 ]
 
 P_FLOOR = 5e-5  # below this, display "<.0001"
+PERCENT_NOTE = "Numbers are multiplied by 100 to convert them into percentages"
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,9 @@ class Cell:
                 return "<.0001"
             return f"{self.value:.4f}"
         return f"{self.value:.{self.precision}f}"
+
+
+NA = Cell(None)
 
 
 @dataclass
@@ -113,6 +120,23 @@ def _ci_label(ci_level: float, bound: str) -> str:
     return f"{bound} bound of the {100 * ci_level:g}% CI"
 
 
+def _table(
+    title: str,
+    cols: list[str],
+    results: list[tuple],
+    rows: list[tuple[str, Callable[..., Cell]]],
+    footnotes: Sequence[str] = (),
+) -> ReportTable:
+    """Transpose per-column results into a table: row (label, cell) reads cell(*result)."""
+    return ReportTable(
+        title=title,
+        row_labels=[label for label, _ in rows],
+        col_labels=cols,
+        cells=[[cell(*result) for result in results] for _, cell in rows],
+        footnotes=list(footnotes),
+    )
+
+
 def summary_table(
     stats_by_group: dict[str, SummaryStats],
     mu0: float,
@@ -123,59 +147,31 @@ def summary_table(
     Groups with n < 2 get undefined markers in every inferential row and
     trigger a warning.
     """
-    cols = list(stats_by_group)
-    rows = [
-        "Mean",
-        "Standard deviation",
-        "Standard error of the mean",
-        _ci_label(ci_level, "Lower"),
-        _ci_label(ci_level, "Upper"),
-        f"t (for test of mean = {mu0:g})",
-        "N",
-        "P value (two-tailed)",
-        "Cohen's d",
-    ]
-    cells: list[list[Cell]] = [[] for _ in rows]
-    for label in cols:
-        s = stats_by_group[label]
+    results = []
+    for label, s in stats_by_group.items():
+        r = None
         if s.n < 2 or s.sd is None or s.sd == 0:
             warnings.warn(
                 f"group {label!r} has n < 2 or zero variance; emitting undefined markers",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            col = [
-                Cell(s.mean),
-                Cell(None),
-                Cell(None),
-                Cell(None),
-                Cell(None),
-                Cell(None),
-                Cell(s.n, kind="int"),
-                Cell(None),
-                Cell(None),
-            ]
         else:
             r = one_sample_t(s, mu0, ci_level=ci_level)
-            col = [
-                Cell(s.mean),
-                Cell(s.sd),
-                Cell(s.se),
-                Cell(r.ci_low),
-                Cell(r.ci_high),
-                Cell(r.statistic_t),
-                Cell(s.n, kind="int"),
-                Cell(r.p_two_tailed, kind="p"),
-                Cell(r.effect_d, precision=3),
-            ]
-        for i, c in enumerate(col):
-            cells[i].append(c)
-    return ReportTable(
-        title=f"Effect sizes and significance tests using mean percentiles (mu0 = {mu0:g})",
-        row_labels=rows,
-        col_labels=cols,
-        cells=cells,
-    )
+        results.append((s, r))
+    rows = [
+        ("Mean", lambda s, r: Cell(s.mean)),
+        ("Standard deviation", lambda s, r: Cell(s.sd) if r else NA),
+        ("Standard error of the mean", lambda s, r: Cell(s.se) if r else NA),
+        (_ci_label(ci_level, "Lower"), lambda s, r: Cell(r.ci_low) if r else NA),
+        (_ci_label(ci_level, "Upper"), lambda s, r: Cell(r.ci_high) if r else NA),
+        (f"t (for test of mean = {mu0:g})", lambda s, r: Cell(r.statistic_t) if r else NA),
+        ("N", lambda s, r: Cell(s.n, kind="int")),
+        ("P value (two-tailed)", lambda s, r: Cell(r.p_two_tailed, kind="p") if r else NA),
+        ("Cohen's d", lambda s, r: Cell(r.effect_d, precision=3) if r else NA),
+    ]
+    title = f"Effect sizes and significance tests using mean percentiles (mu0 = {mu0:g})"
+    return _table(title, list(stats_by_group), results, rows)
 
 
 def compare_table(
@@ -186,51 +182,38 @@ def compare_table(
     include_mann_whitney: bool = False,
 ) -> ReportTable:
     """Pairwise mean-difference table; pair (a, b) reports statistic(a) - statistic(b)."""
-    rows = [
-        "Difference between means",
-        "Standard deviation (pooled)",
-        "Standard error of the mean difference",
-        _ci_label(ci_level, "Lower") + " for the difference",
-        _ci_label(ci_level, "Upper") + " for the difference",
-        "t (for test of means are equal)",
-        "P value (two-tailed)",
-        "Cohen's d",
-    ]
-    if include_welch:
-        rows += ["Welch t", "Welch df", "Welch P value"]
-    if include_mann_whitney:
-        rows += ["Mann-Whitney z", "Mann-Whitney P value"]
-    cols = [f"{a} vs {b}" for a, b in pairs]
-    cells: list[list[Cell]] = [[] for _ in rows]
     labels = dict.fromkeys(label for pair in pairs for label in pair)
     stats = {label: summarize(samples[label]) for label in labels}
+    results = []
     for a, b in pairs:
         sa, sb = stats[a], stats[b]
         r = two_sample_pooled_t(sa, sb, ci_level=ci_level)
-        col = [
-            Cell(r.estimate),
-            Cell(r.pooled_sd),
-            Cell(r.se),
-            Cell(r.ci_low),
-            Cell(r.ci_high),
-            Cell(r.statistic_t),
-            Cell(r.p_two_tailed, kind="p"),
-            Cell(r.effect_d, precision=3),
+        w = two_sample_welch_t(sa, sb, ci_level=ci_level) if include_welch else None
+        mw = mann_whitney(samples[a], samples[b]) if include_mann_whitney else None
+        results.append((r, w, mw))
+    rows = [
+        ("Difference between means", lambda r, w, mw: Cell(r.estimate)),
+        ("Standard deviation (pooled)", lambda r, w, mw: Cell(r.pooled_sd)),
+        ("Standard error of the mean difference", lambda r, w, mw: Cell(r.se)),
+        (_ci_label(ci_level, "Lower") + " for the difference", lambda r, w, mw: Cell(r.ci_low)),
+        (_ci_label(ci_level, "Upper") + " for the difference", lambda r, w, mw: Cell(r.ci_high)),
+        ("t (for test of means are equal)", lambda r, w, mw: Cell(r.statistic_t)),
+        ("P value (two-tailed)", lambda r, w, mw: Cell(r.p_two_tailed, kind="p")),
+        ("Cohen's d", lambda r, w, mw: Cell(r.effect_d, precision=3)),
+    ]
+    if include_welch:
+        rows += [
+            ("Welch t", lambda r, w, mw: Cell(w.statistic_t)),
+            ("Welch df", lambda r, w, mw: Cell(w.df, precision=1)),
+            ("Welch P value", lambda r, w, mw: Cell(w.p_two_tailed, kind="p")),
         ]
-        if include_welch:
-            w = two_sample_welch_t(sa, sb, ci_level=ci_level)
-            col += [Cell(w.statistic_t), Cell(w.df, precision=1), Cell(w.p_two_tailed, kind="p")]
-        if include_mann_whitney:
-            mw = mann_whitney(samples[a], samples[b])
-            col += [Cell(mw.z_approx), Cell(mw.p_two_tailed, kind="p")]
-        for i, c in enumerate(col):
-            cells[i].append(c)
-    return ReportTable(
-        title="Differences in percentiles across institutions",
-        row_labels=rows,
-        col_labels=cols,
-        cells=cells,
-    )
+    if include_mann_whitney:
+        rows += [
+            ("Mann-Whitney z", lambda r, w, mw: Cell(mw.z_approx)),
+            ("Mann-Whitney P value", lambda r, w, mw: Cell(mw.p_two_tailed, kind="p")),
+        ]
+    title = "Differences in percentiles across institutions"
+    return _table(title, [f"{a} vs {b}" for a, b in pairs], results, rows)
 
 
 def topshare_table(
@@ -243,40 +226,22 @@ def topshare_table(
 
     All share-scale rows are multiplied by 100, as the footnote records.
     """
-    cols = list(counts_by_group)
-    rows = [
-        f"Share in top {x:g}% (x100)",
-        "Standard error (x100)",
-        _ci_label(ci_level, "Lower") + " (x100)",
-        _ci_label(ci_level, "Upper") + " (x100)",
-        f"z (for test of share = {p0:g})",
-        "P value (two-tailed)",
-        "Cohen's h",
-        "N",
+    results = [
+        (one_sample_prop_z(count, n, p0, ci_level=ci_level), n)
+        for count, n in counts_by_group.values()
     ]
-    cells: list[list[Cell]] = [[] for _ in rows]
-    for label in cols:
-        count, n = counts_by_group[label]
-        r = one_sample_prop_z(count, n, p0, ci_level=ci_level)
-        col = [
-            Cell(100 * r.estimate),
-            Cell(100 * r.se),
-            Cell(100 * r.ci_low),
-            Cell(100 * r.ci_high),
-            Cell(r.statistic_z),
-            Cell(r.p_two_tailed, kind="p"),
-            Cell(r.effect_h, precision=3),
-            Cell(n, kind="int"),
-        ]
-        for i, c in enumerate(col):
-            cells[i].append(c)
-    return ReportTable(
-        title=f"Effect sizes and significance tests for the top {x:g}% share",
-        row_labels=rows,
-        col_labels=cols,
-        cells=cells,
-        footnotes=["Numbers are multiplied by 100 to convert them into percentages"],
-    )
+    rows = [
+        (f"Share in top {x:g}% (x100)", lambda r, n: Cell(100 * r.estimate)),
+        ("Standard error (x100)", lambda r, n: Cell(100 * r.se)),
+        (_ci_label(ci_level, "Lower") + " (x100)", lambda r, n: Cell(100 * r.ci_low)),
+        (_ci_label(ci_level, "Upper") + " (x100)", lambda r, n: Cell(100 * r.ci_high)),
+        (f"z (for test of share = {p0:g})", lambda r, n: Cell(r.statistic_z)),
+        ("P value (two-tailed)", lambda r, n: Cell(r.p_two_tailed, kind="p")),
+        ("Cohen's h", lambda r, n: Cell(r.effect_h, precision=3)),
+        ("N", lambda r, n: Cell(n, kind="int")),
+    ]
+    title = f"Effect sizes and significance tests for the top {x:g}% share"
+    return _table(title, list(counts_by_group), results, rows, [PERCENT_NOTE])
 
 
 def topcompare_table(
@@ -286,35 +251,24 @@ def topcompare_table(
     ci_level: float = 0.95,
 ) -> ReportTable:
     """Pairwise top-x% share differences; pair (a, b) reports share(a) - share(b)."""
-    rows = [
-        "Difference between shares (x100)",
-        "Standard error (x100)",
-        _ci_label(ci_level, "Lower") + " for the difference (x100)",
-        _ci_label(ci_level, "Upper") + " for the difference (x100)",
-        "z (for test of shares are equal)",
-        "Cohen's h",
-        "P value (two-tailed)",
+    results = [
+        (two_sample_prop_z(*counts_by_group[a], *counts_by_group[b], ci_level=ci_level),)
+        for a, b in pairs
     ]
-    cols = [f"{a} vs {b}" for a, b in pairs]
-    cells: list[list[Cell]] = [[] for _ in rows]
-    for a, b in pairs:
-        (c1, n1), (c2, n2) = counts_by_group[a], counts_by_group[b]
-        r = two_sample_prop_z(c1, n1, c2, n2, ci_level=ci_level)
-        col = [
-            Cell(100 * r.estimate),
-            Cell(100 * r.se),
-            Cell(100 * r.ci_low),
-            Cell(100 * r.ci_high),
-            Cell(r.statistic_z),
-            Cell(r.effect_h, precision=3),
-            Cell(r.p_two_tailed, kind="p"),
-        ]
-        for i, c in enumerate(col):
-            cells[i].append(c)
-    return ReportTable(
-        title=f"Differences in the top {x:g}% share across institutions",
-        row_labels=rows,
-        col_labels=cols,
-        cells=cells,
-        footnotes=["Numbers are multiplied by 100 to convert them into percentages"],
-    )
+    rows = [
+        ("Difference between shares (x100)", lambda r: Cell(100 * r.estimate)),
+        ("Standard error (x100)", lambda r: Cell(100 * r.se)),
+        (
+            _ci_label(ci_level, "Lower") + " for the difference (x100)",
+            lambda r: Cell(100 * r.ci_low),
+        ),
+        (
+            _ci_label(ci_level, "Upper") + " for the difference (x100)",
+            lambda r: Cell(100 * r.ci_high),
+        ),
+        ("z (for test of shares are equal)", lambda r: Cell(r.statistic_z)),
+        ("Cohen's h", lambda r: Cell(r.effect_h, precision=3)),
+        ("P value (two-tailed)", lambda r: Cell(r.p_two_tailed, kind="p")),
+    ]
+    title = f"Differences in the top {x:g}% share across institutions"
+    return _table(title, [f"{a} vs {b}" for a, b in pairs], results, rows, [PERCENT_NOTE])

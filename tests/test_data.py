@@ -10,7 +10,6 @@ from pct_impact.data import (
     IngestionConfig,
     PublicationRecord,
     RejectedRow,
-    best_category_percentile,
     filter_years,
     group_reference_sets,
     institution_samples,
@@ -252,31 +251,6 @@ class TestGroupReferenceSets:
         assert all(c == 1 for c in counts.values())
 
 
-class TestBestCategoryPercentile:
-    def test_min_of_two(self):
-        assert best_category_percentile([("A", 40.0), ("B", 25.0)]) == 25.0
-
-    def test_singleton(self):
-        assert best_category_percentile([("A", 10.0)]) == 10.0
-
-    def test_matches_exhaustive_min(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            pairs = [(c, rng.uniform(0, 100)) for c in "ABCDE"]
-            # exhaustive oracle: compare against every element
-            best = best_category_percentile(pairs)
-            assert all(best <= v for _, v in pairs)
-            assert best in [v for _, v in pairs]
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            best_category_percentile([])
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            best_category_percentile([("A", 120.0)])
-
-
 class TestSelectInstitution:
     def test_unknown_label_lists_known(self):
         ds = _dataset(["a,x,2001,A,1,\n", "b,y,2001,A,1,\n"])
@@ -308,6 +282,14 @@ class TestRecordInvariants:
             PublicationRecord("p", "i", 2001, ("A",), -1)
         with pytest.raises(ValueError):
             PublicationRecord("p", "i", 2001, ("A",), 1, inv_percentile=101.0)
+
+    @pytest.mark.parametrize(
+        "categories, message",
+        [(("A", ""), "empty category"), (("A", "A"), "repeated category")],
+    )
+    def test_category_names_empty_or_repeated(self, categories, message):
+        with pytest.raises(ValueError, match=message):
+            PublicationRecord("p", "i", 2001, categories, 1)
 
     def test_records_hashable_and_immutable(self):
         r = PublicationRecord("p", "i", 2001, ("A",), 1)

@@ -20,7 +20,6 @@ from pct_impact.percentiles import (
     fractional_top_share,
     institution_top_share,
     mncs,
-    normalized_scores,
     outlier_sensitivity,
     percentile_rank,
     rank_ascending,
@@ -294,11 +293,6 @@ class TestMncs:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             mncs([1, 2], [1.0])
-
-    def test_normalized_scores(self):
-        scores = normalized_scores(["a", "b"], [10, 5], [5.0, 5.0])
-        assert [s.ratio for s in scores] == [2.0, 1.0]
-        assert scores[0].paper_id == "a"
 
 
 class TestOutlierSensitivity:

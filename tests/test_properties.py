@@ -6,7 +6,6 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pct_impact.data import best_category_percentile
 from pct_impact.effects import (
     SummaryStats,
     cohens_h_one,
@@ -117,16 +116,6 @@ def test_two_sample_prop_sign_symmetry(c1, c2, extra1, extra2):
     rev = two_sample_prop_z(c2, n2, c1, n1)
     assert math.isclose(fwd.statistic_z, -rev.statistic_z, rel_tol=1e-9, abs_tol=1e-12)
     assert math.isclose(fwd.effect_h, -rev.effect_h, rel_tol=1e-9, abs_tol=1e-12)
-
-
-@given(st.lists(st.tuples(st.text(min_size=1, max_size=3),
-                          st.floats(min_value=0.0, max_value=100.0)),
-                min_size=1, max_size=8))
-def test_best_category_is_minimum_member(pairs):
-    best = best_category_percentile(pairs)
-    values = [v for _, v in pairs]
-    assert best in values
-    assert all(best <= v for v in values)
 
 
 @given(st.lists(st.floats(min_value=0, max_value=100, allow_nan=False),

@@ -157,6 +157,140 @@ class TestTopShareTables:
         assert cells["z (for test of shares are equal)"]["1 vs 2"].display() == "-5.70"
 
 
+def _assert_pinned(table, title, tsv, values, footnotes=()):
+    """Full TSV byte for byte; full JSON, with values to 1e-12 relative."""
+    assert table.to_tsv() == tsv
+    header, *lines = [line.split("\t") for line in tsv.splitlines()]
+    got = table.to_json_dict()
+    assert got["title"] == title
+    assert got["columns"] == header[1:]
+    assert got["footnotes"] == list(footnotes)
+    assert [(r["label"], r["display"]) for r in got["rows"]] == [
+        (line[0], line[1:]) for line in lines
+    ]
+    assert len(got["rows"]) == len(values)
+    for row, expected in zip(got["rows"], values):
+        assert [type(v) for v in row["values"]] == [type(v) for v in expected]
+        assert row["values"] == pytest.approx(expected, rel=1e-12)
+
+
+class TestPinnedOutputs:
+    """Whole-table outputs for the paths the demo golden files do not reach."""
+
+    SAMPLES = {
+        "a": [10.0, 20.0, 35.0, 50.0],
+        "b": [5.0, 15.0, 25.0],
+        "c": [40.0, 60.0, 70.0, 90.0, 95.0],
+    }
+    PAIRS = [("a", "b"), ("c", "a")]
+    COMPARE_TITLE = "Differences in percentiles across institutions"
+    COMPARE_TSV = (
+        "statistical_measure\ta vs b\tc vs a\n"
+        "Difference between means\t13.75\t42.25\n"
+        "Standard deviation (pooled)\t14.96\t20.49\n"
+        "Standard error of the mean difference\t11.42\t13.74\n"
+        "Lower bound of the 95% CI for the difference\t-15.62\t9.75\n"
+        "Upper bound of the 95% CI for the difference\t43.12\t74.75\n"
+        "t (for test of means are equal)\t1.20\t3.07\n"
+        "P value (two-tailed)\t0.2826\t0.0180\n"
+        "Cohen's d\t0.919\t2.062\n"
+    )
+    COMPARE_VALUES = [
+        [13.75, 42.25],
+        [14.958275301651591, 20.489544371982227],
+        [11.42457147263447, 13.744804213125148],
+        [-15.61779590748299, 9.748702624249603],
+        [43.117795907482986, 74.7512973757504],
+        [1.2035462365424978, 3.0738888197224923],
+        [0.2826335136895537, 0.017969012190786948],
+        [0.9192236218892039, 2.0620273068528263],
+    ]
+
+    def test_summary_with_undefined_columns(self):
+        stats = {
+            "1": SummaryStats.from_moments(268, 49.67, 30.66),
+            "flat": SummaryStats(n=3, mean=40.0, sd=0.0, se=0.0),
+            "tiny": SummaryStats(n=1, mean=44.0, sd=None, se=None),
+        }
+        with pytest.warns(RuntimeWarning) as record:
+            table = summary_table(stats, 50.0)
+        assert [(str(w.message), w.filename) for w in record] == [
+            (f"group {label!r} has n < 2 or zero variance; emitting undefined markers", __file__)
+            for label in ("flat", "tiny")
+        ]
+        _assert_pinned(
+            table,
+            "Effect sizes and significance tests using mean percentiles (mu0 = 50)",
+            "statistical_measure\t1\tflat\ttiny\n"
+            "Mean\t49.67\t40.00\t44.00\n"
+            "Standard deviation\t30.66\tNA\tNA\n"
+            "Standard error of the mean\t1.87\tNA\tNA\n"
+            "Lower bound of the 95% CI\t45.98\tNA\tNA\n"
+            "Upper bound of the 95% CI\t53.36\tNA\tNA\n"
+            "t (for test of mean = 50)\t-0.18\tNA\tNA\n"
+            "N\t268\t3\t1\n"
+            "P value (two-tailed)\t0.8603\tNA\tNA\n"
+            "Cohen's d\t-0.011\tNA\tNA\n",
+            [
+                [49.67, 40.0, 44.0],
+                [30.66, None, None],
+                [1.872857581982159, None, None],
+                [45.98255201536743, None, None],
+                [53.35744798463257, None, None],
+                [-0.17620133168414187, None, None],
+                [268, 3, 1],
+                [0.8602693436777149, None, None],
+                [-0.010763209393346324, None, None],
+            ],
+        )
+
+    def test_compare_without_optional_rows(self):
+        table = compare_table(self.SAMPLES, self.PAIRS)
+        _assert_pinned(table, self.COMPARE_TITLE, self.COMPARE_TSV, self.COMPARE_VALUES)
+
+    def test_compare_with_welch_only(self):
+        table = compare_table(self.SAMPLES, self.PAIRS, include_welch=True)
+        _assert_pinned(
+            table,
+            self.COMPARE_TITLE,
+            self.COMPARE_TSV
+            + "Welch t\t1.31\t3.17\nWelch df\t4.8\t7.0\nWelch P value\t0.2487\t0.0157\n",
+            self.COMPARE_VALUES
+            + [
+                [1.311632245303321, 3.1706703233213047],
+                [4.812560804237381, 6.999804580053811],
+                [0.24872561429114737, 0.01569376855975313],
+            ],
+        )
+
+    def test_topshare_from_fractional_counts(self):
+        table = topshare_table({"1": (26.5, 268), "2": (57.25, 549)}, 0.10, 10.0)
+        _assert_pinned(
+            table,
+            "Effect sizes and significance tests for the top 10% share",
+            "statistical_measure\t1\t2\n"
+            "Share in top 10% (x100)\t9.89\t10.43\n"
+            "Standard error (x100)\t1.82\t1.30\n"
+            "Lower bound of the 95% CI (x100)\t6.31\t7.87\n"
+            "Upper bound of the 95% CI (x100)\t13.46\t12.98\n"
+            "z (for test of share = 0.1)\t-0.06\t0.33\n"
+            "P value (two-tailed)\t0.9513\t0.7381\n"
+            "Cohen's h\t-0.004\t0.014\n"
+            "N\t268\t549\n",
+            [
+                [9.888059701492537, 10.428051001821494],
+                [1.8233889285230256, 1.3043718365373573],
+                [6.314283071778328, 7.871529179759906],
+                [13.461836331206744, 12.98457282388308],
+                [-0.06108472217815324, 0.33431851982478344],
+                [0.9512917363637889, 0.7381392168494745],
+                [-0.003740680456581158, 0.01413562902304244],
+                [268, 549],
+            ],
+            ["Numbers are multiplied by 100 to convert them into percentages"],
+        )
+
+
 FIG1 = CiChartSpec(
     series=(
         CiSeries("Institution 1", 49.67, 45.99, 53.36),
