@@ -43,7 +43,6 @@ from .effects import (
     two_sample_welch_t,
 )
 from .errors import (
-    CapabilityError,
     CitationImpactError,
     ConfigurationError,
     DataError,
@@ -56,18 +55,14 @@ from .errors import (
 )
 from .kernels import normal_cdf, normal_quantile, t_cdf, t_quantile
 from .percentiles import (
-    BestPercentileRow,
-    Counting,
     FractionalTopShare,
     OutlierSensitivityReport,
     PercentileAssignment,
     PercentileFormula,
     PercentileScheme,
-    TopShareResult,
     assign_best_percentiles,
     classify_top_x,
     fractional_top_share,
-    institution_top_share,
     mncs,
     outlier_sensitivity,
     outlier_sensitivity_report,

@@ -274,7 +274,7 @@ def _analysis_percentiles(cfg: AnalysisConfig, dataset: Dataset) -> tuple[dict, 
     best = assign_best_percentiles(
         group_reference_sets(dataset), cfg.percentile_scheme, x=cfg.top_x
     )
-    return {pid: row.percentile for pid, row in best.items()}, cfg.inverted
+    return {pid: a.percentile for pid, (_, a) in best.items()}, cfg.inverted
 
 
 def _require_inverted(inverted: bool) -> None:
@@ -299,27 +299,29 @@ def _institution_values(
     }
 
 
-def _top_counts(
-    cfg: AnalysisConfig, dataset: Dataset, samples: dict[str, InstitutionSample]
-) -> dict[str, tuple[float, int]]:
-    """(top count, n) per institution under the configured counting mode.
+def _top_weights(cfg: AnalysisConfig, dataset: Dataset) -> dict[str, float]:
+    """Top-x weight per paper id under the configured counting mode.
 
-    Binary counting weighs each paper 0 or 1 by its analysis percentile;
+    The one place where --counting becomes per-paper weights. Binary
+    counting weighs each paper 0 or 1 by its analysis percentile;
     fractional counting uses the tie-split weight of the paper's best set.
     """
     if cfg.counting == "binary":
         pct, inverted = _analysis_percentiles(cfg, dataset)
         _require_inverted(inverted)
-        weight = {pid: float(classify_top_x(v, cfg.top_x)) for pid, v in pct.items()}
-    else:
-        best = assign_best_percentiles(
-            group_reference_sets(dataset), cfg.percentile_scheme, x=cfg.top_x
-        )
-        weight = {pid: row.top_x_weight for pid, row in best.items()}
-    return {
-        label: (math.fsum(weight[r.id] for r in sample.records), sample.n)
-        for label, sample in samples.items()
-    }
+        return {pid: float(classify_top_x(v, cfg.top_x)) for pid, v in pct.items()}
+    best = assign_best_percentiles(
+        group_reference_sets(dataset), cfg.percentile_scheme, x=cfg.top_x
+    )
+    return {pid: a.top_x_weight for pid, (_, a) in best.items()}
+
+
+def _top_counts(
+    cfg: AnalysisConfig, dataset: Dataset, samples: dict[str, InstitutionSample]
+) -> dict[str, tuple[float, int]]:
+    """(top count, n) per institution: the sum of its papers' top-x weights."""
+    weights = _institution_values(samples, _top_weights(cfg, dataset))
+    return {label: (math.fsum(v), len(v)) for label, v in weights.items()}
 
 
 def _write_text(cfg: AnalysisConfig, name: str, text: str) -> Path:
@@ -371,10 +373,10 @@ def cmd_percentiles(cfg: AnalysisConfig) -> int:
         )
     buf = io.StringIO()
     buf.write("paper_id,reference_set,rank,percentile,tie_group_size,top_x_weight\n")
-    for row in (best[r.id] for r in dataset.records):
+    for label, a in (best[r.id] for r in dataset.records):
         buf.write(
-            f"{row.paper_id},{row.reference_set},{row.rank},"
-            f"{row.percentile:.6g},{row.tied_with},{row.top_x_weight:.6g}\n"
+            f"{a.paper_id},{label},{a.rank},"
+            f"{a.percentile:.6g},{a.tied_with},{a.top_x_weight:.6g}\n"
         )
     path = _write_text(cfg, "percentiles.csv", buf.getvalue())
     print(f"wrote {len(best)} percentile assignments to {path}")
@@ -476,7 +478,7 @@ def cmd_robustness(cfg: AnalysisConfig) -> int:
         for m in rs.members:
             member_keys.setdefault(m.id, []).append(rs.key)
     best = assign_best_percentiles(refsets, cfg.percentile_scheme, x=cfg.top_x)
-    weight = {pid: row.top_x_weight for pid, row in best.items()}
+    weight = {pid: a.top_x_weight for pid, (_, a) in best.items()}
 
     reports = {}
     for label, sample in institution_samples(dataset).items():
@@ -516,16 +518,21 @@ def cmd_bootstrap(cfg: AnalysisConfig) -> int:
         seed=cfg.seed,
         ci_method=CiMethod(cfg.ci),
     )
-    pct, inverted = _analysis_percentiles(cfg, dataset)
+    one_sample = statistic in (BootstrapStatistic.MEAN, BootstrapStatistic.PROPORTION)
+    if one_sample:
+        if not cfg.institution:
+            raise ConfigurationError(f"{cfg.statistic} bootstrap needs --institution")
+        labels = [cfg.institution]
+    else:
+        pairs = cfg.pair_list
+        labels = [label for pair in pairs for label in pair]
     samples = institution_samples(dataset)
-    values = _institution_values(samples, pct)
-
-    def sample_for(label: str) -> list[float]:
-        _require_known(samples, [label])
-        if statistic in (BootstrapStatistic.PROPORTION, BootstrapStatistic.PROP_DIFF):
-            _require_inverted(inverted)
-            return [float(classify_top_x(v, cfg.top_x)) for v in values[label]]
-        return values[label]
+    _require_known(samples, labels)
+    if statistic in (BootstrapStatistic.PROPORTION, BootstrapStatistic.PROP_DIFF):
+        per_paper = _top_weights(cfg, dataset)
+    else:
+        per_paper, _ = _analysis_percentiles(cfg, dataset)
+    values = _institution_values(samples, per_paper)
 
     # significance is reported as interval exclusion of the natural null
     null_value = {
@@ -535,20 +542,11 @@ def cmd_bootstrap(cfg: AnalysisConfig) -> int:
         BootstrapStatistic.PROP_DIFF: 0.0,
     }[statistic]
 
-    results = []
-    if statistic in (BootstrapStatistic.MEAN, BootstrapStatistic.PROPORTION):
-        if not cfg.institution:
-            raise ConfigurationError(f"{cfg.statistic} bootstrap needs --institution")
-        results.append(
-            bootstrap_statistic(sample_for(cfg.institution), statistic, spec, cfg.workers)
-        )
+    if one_sample:
+        data = [values[cfg.institution]]
     else:
-        for a, b in cfg.pair_list:
-            results.append(
-                bootstrap_statistic(
-                    (sample_for(a), sample_for(b)), statistic, spec, cfg.workers
-                )
-            )
+        data = [(values[a], values[b]) for a, b in pairs]
+    results = [bootstrap_statistic(d, statistic, spec, cfg.workers) for d in data]
     payload = []
     for r in results:
         entry = r.to_json_dict()
@@ -590,7 +588,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except CitationImpactError as exc:
             print(f"data error: {exc}", file=sys.stderr)
             return 1
-        except ValueError as exc:  # e.g. an unparsable number in a config file
+        except (ValueError, OSError) as exc:  # a bad config number, an unreadable path
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
 

@@ -52,11 +52,3 @@ class DegenerateVarianceError(DataError):
 class DegenerateReferenceError(DataError):
     """A reference-set mean is zero or negative, so ratios are undefined."""
 
-
-class CapabilityError(DataError):
-    """The requested computation needs data that is not available.
-
-    Raised e.g. when fractional top-share weights are requested but raw
-    reference-set citation counts were never seen (only pre-supplied
-    percentiles).
-    """

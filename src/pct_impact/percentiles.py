@@ -15,17 +15,15 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .data import InstitutionSample, ReferenceSet
-from .errors import CapabilityError, DegenerateReferenceError
+from .data import ReferenceSet
+from .errors import DegenerateReferenceError
 
 __all__ = [
     "PercentileFormula",
     "PercentileScheme",
     "PercentileAssignment",
-    "Counting",
-    "TopShareResult",
     "FractionalTopShare",
     "OutlierSensitivityReport",
     "rank_ascending",
@@ -33,12 +31,10 @@ __all__ = [
     "percentile_rank",
     "classify_top_x",
     "fractional_top_share",
-    "institution_top_share",
     "mncs",
     "outlier_sensitivity",
     "outlier_sensitivity_report",
     "assign_best_percentiles",
-    "BestPercentileRow",
 ]
 
 
@@ -73,20 +69,6 @@ class PercentileAssignment:
     percentile: float
     tied_with: int  # size of the tie group, including the paper itself
     top_x_weight: float
-
-
-class Counting(Enum):
-    BINARY = "binary"
-    FRACTIONAL = "fractional"
-
-
-@dataclass(frozen=True)
-class TopShareResult:
-    institution: str
-    n: int
-    share: float
-    threshold_x: float
-    counting: Counting
 
 
 def rank_ascending(citations: Sequence[int]) -> list[int]:
@@ -250,49 +232,6 @@ def fractional_top_share(citations: Sequence[int], x: float) -> FractionalTopSha
     )
 
 
-def institution_top_share(
-    sample: InstitutionSample,
-    x: float = 10.0,
-    counting: Counting = Counting.BINARY,
-    weights: Optional[Mapping[str, float | Fraction]] = None,
-) -> TopShareResult:
-    """Share of an institution's papers among the top x% of their fields.
-
-    BINARY averages the 0/1 classification of each paper's inverted
-    percentile. FRACTIONAL averages per-paper tie weights, which must be
-    supplied from full reference sets (see assign_best_percentiles); it
-    cannot be derived from pre-supplied percentiles alone.
-    """
-    if counting is Counting.BINARY:
-        missing = [r.id for r in sample.records if r.inv_percentile is None]
-        if missing:
-            raise CapabilityError(
-                "binary top-share needs an inverted percentile for every record; "
-                f"missing for: {', '.join(missing[:5])}"
-            )
-        hits = sum(classify_top_x(r.inv_percentile, x) for r in sample.records)
-        share = hits / sample.n
-    else:
-        if weights is None:
-            raise CapabilityError(
-                "fractional top-share needs per-paper weights computed from raw "
-                "reference-set citation counts; pre-supplied percentiles are not enough"
-            )
-        missing = [r.id for r in sample.records if r.id not in weights]
-        if missing:
-            raise CapabilityError(
-                f"fractional top-share: no weight for records: {', '.join(missing[:5])}"
-            )
-        share = float(sum(Fraction(weights[r.id]) for r in sample.records) / sample.n)
-    return TopShareResult(
-        institution=sample.institution,
-        n=sample.n,
-        share=float(share),
-        threshold_x=x,
-        counting=counting,
-    )
-
-
 def mncs(citations: Sequence[float], ref_means: Sequence[float]) -> float:
     """Mean normalized citation score: average of citations / field mean."""
     if len(citations) != len(ref_means):
@@ -416,49 +355,28 @@ def outlier_sensitivity(
     return outlier_sensitivity_report(citations, ref_means, weights, x)
 
 
-@dataclass(frozen=True)
-class BestPercentileRow:
-    """One output row of the percentile pipeline: a paper in its best set."""
-
-    paper_id: str
-    reference_set: str
-    rank: int
-    percentile: float
-    tied_with: int
-    top_x_weight: float
-
-
 def assign_best_percentiles(
     refsets: Sequence[ReferenceSet], scheme: PercentileScheme, x: float = 10.0
-) -> dict[str, BestPercentileRow]:
+) -> dict[str, tuple[str, PercentileAssignment]]:
     """Percentile every paper within each of its reference sets, keep the best.
 
     refsets are a dataset's sets from group_reference_sets. A paper with k
     categories is ranked in k sets; the reported percentile is the one
     where it performs best (lowest when inverted, highest otherwise),
-    together with that set's tie metadata and fractional weight. Rows are
-    keyed by paper id.
+    together with that set's tie metadata and fractional weight. Maps each
+    paper id to its best set's label ("category:year") and assignment.
     """
-    per_paper: dict[str, BestPercentileRow] = {}
+    per_paper: dict[str, tuple[str, PercentileAssignment]] = {}
     for refset in refsets:
         cits = [m.citations for m in refset.members]
         ids = [m.id for m in refset.members]
-        assignments = percentile_rank(cits, scheme, x=x, ids=ids)
         label = f"{refset.key.category}:{refset.key.pub_year}"
-        for a in assignments:
-            row = BestPercentileRow(
-                paper_id=a.paper_id,
-                reference_set=label,
-                rank=a.rank,
-                percentile=a.percentile,
-                tied_with=a.tied_with,
-                top_x_weight=a.top_x_weight,
-            )
+        for a in percentile_rank(cits, scheme, x=x, ids=ids):
             prev = per_paper.get(a.paper_id)
-            if prev is None:
-                per_paper[a.paper_id] = row
-            elif scheme.inverted and row.percentile < prev.percentile:
-                per_paper[a.paper_id] = row
-            elif not scheme.inverted and row.percentile > prev.percentile:
-                per_paper[a.paper_id] = row
+            if (
+                prev is None
+                or (scheme.inverted and a.percentile < prev[1].percentile)
+                or (not scheme.inverted and a.percentile > prev[1].percentile)
+            ):
+                per_paper[a.paper_id] = (label, a)
     return per_paper

@@ -273,6 +273,33 @@ class TestBootstrapCommand:
         payload = json.loads((tmp_path / "bootstrap.json").read_text())
         assert payload["statistic"] == "mean_diff"
 
+    @pytest.mark.parametrize("counting", ["binary", "fractional"])
+    def test_proportion_point_matches_topshare(self, tie_csv, tmp_path, counting):
+        flags = ["--input", tie_csv, "--counting", counting, "--scheme", "incites",
+                 "--inverted", "--format", "json"]
+        assert run("topshare", *flags, "--out-dir", tmp_path / "share") == 0
+        assert run("bootstrap", *flags, "--statistic", "proportion",
+                   "--institution", "X", "--bootstrap-reps", "100",
+                   "--out-dir", tmp_path / "boot") == 0
+        table = json.loads((tmp_path / "share" / "topshare.json").read_text())
+        rows = {r["label"]: dict(zip(table["columns"], r["values"])) for r in table["rows"]}
+        point = json.loads((tmp_path / "boot" / "bootstrap.json").read_text())["point"]
+        assert 100 * point == pytest.approx(rows["Share in top 10% (x100)"]["X"], rel=1e-12)
+
+    def test_fractional_proportion_needs_no_inverted(self, tie_csv, tmp_path):
+        code = run("bootstrap", "--input", tie_csv, "--statistic", "prop-diff",
+                   "--pairs", "X:Y", "--counting", "fractional", "--bootstrap-reps", "50",
+                   "--out-dir", tmp_path, "--format", "json")
+        assert code == 0
+        payload = json.loads((tmp_path / "bootstrap.json").read_text())
+        assert payload["statistic"] == "prop_diff"
+
+    def test_unknown_institution_before_inverted_check(self, tie_csv, tmp_path, capsys):
+        code = run("bootstrap", "--input", tie_csv, "--statistic", "proportion",
+                   "--institution", "NOPE", "--out-dir", tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("data error: unknown institution 'NOPE'")
+
 
 class TestSmallInstitution:
     """B has a single paper: too small for any test, which is a data error."""
@@ -321,6 +348,22 @@ class TestErrorPaths:
         bad = tmp_path / "bad.csv"
         bad.write_text("id,institution\n1,a\n", encoding="utf-8")
         assert run("summary", "--input", bad, "--out-dir", tmp_path) == 2
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert run("summary", "--config", tmp_path / "nope.cfg",
+                   "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+    def test_input_is_directory(self, tmp_path, capsys):
+        assert run("summary", "--input", tmp_path, "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+    def test_out_dir_is_file(self, inst_csv, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert run("summary", "--input", inst_csv, "--out-dir", taken,
+                   "--format", "tsv") == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
 
     def test_bad_top_x(self, inst_csv, tmp_path):
         assert run("topshare", "--input", inst_csv, "--top-x", "0",

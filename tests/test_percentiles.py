@@ -10,15 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from pct_impact.data import InstitutionSample, PublicationRecord
-from pct_impact.errors import CapabilityError, DegenerateReferenceError
+from pct_impact.errors import DegenerateReferenceError
 from pct_impact.percentiles import (
-    Counting,
     PercentileFormula,
     PercentileScheme,
     classify_top_x,
     fractional_top_share,
-    institution_top_share,
     mncs,
     outlier_sensitivity,
     percentile_rank,
@@ -44,17 +41,6 @@ def oracle_percentiles(citations, formula, inverted, zero_adjust):
             pct = 100.0 if inverted else 0.0
         out.append(pct)
     return out
-
-
-def _rec(rid, inst, year, cats, citations, pct=None):
-    return PublicationRecord(
-        id=rid,
-        institution=inst,
-        pub_year=year,
-        categories=tuple(cats),
-        citations=citations,
-        inv_percentile=pct,
-    )
 
 
 class TestRanking:
@@ -232,51 +218,6 @@ class TestFractionalTopShare:
         fts = fractional_top_share(TIE_SET, 10.0)
         assert Fraction(binary, 50) == fts.binary_share_excluding_ties == Fraction(3, 50)
         assert fts.share == Fraction(5, 50)
-
-
-class TestInstitutionTopShare:
-    def test_binary_counts_at_boundary(self):
-        records = tuple(
-            _rec(f"p{i}", "u", 2001, ["CAT"], 1, pct=v)
-            for i, v in enumerate([5.0, 10.0, 11.0, 90.0])
-        )
-        sample = InstitutionSample(institution="u", records=records)
-        r = institution_top_share(sample, 10.0, Counting.BINARY)
-        assert r.share == 0.5
-        assert r.n == 4 and r.counting is Counting.BINARY
-
-    def test_binary_share_matches_published_value(self):
-        # 160 of 549 papers at or below the top-10% cut
-        records = tuple(
-            _rec(f"p{i}", "2", 2001, ["CAT"], 1, pct=(5.0 if i < 160 else 50.0))
-            for i in range(549)
-        )
-        sample = InstitutionSample(institution="2", records=records)
-        r = institution_top_share(sample, 10.0, Counting.BINARY)
-        assert r.share == pytest.approx(0.2914, abs=5e-5)
-
-    def test_binary_needs_percentiles(self):
-        sample = InstitutionSample(
-            institution="u", records=(_rec("p1", "u", 2001, ["CAT"], 3),)
-        )
-        with pytest.raises(CapabilityError):
-            institution_top_share(sample, 10.0, Counting.BINARY)
-
-    def test_fractional_needs_weights(self):
-        sample = InstitutionSample(
-            institution="u", records=(_rec("p1", "u", 2001, ["CAT"], 3, pct=4.0),)
-        )
-        with pytest.raises(CapabilityError):
-            institution_top_share(sample, 10.0, Counting.FRACTIONAL)
-        with pytest.raises(CapabilityError):
-            institution_top_share(sample, 10.0, Counting.FRACTIONAL, weights={"other": 1.0})
-
-    def test_fractional_with_weights(self):
-        records = tuple(_rec(f"p{i}", "u", 2001, ["CAT"], 1) for i in range(4))
-        sample = InstitutionSample(institution="u", records=records)
-        weights = {"p0": Fraction(1), "p1": Fraction(2, 7), "p2": 0.0, "p3": 0.0}
-        r = institution_top_share(sample, 10.0, Counting.FRACTIONAL, weights=weights)
-        assert r.share == pytest.approx(float((1 + Fraction(2, 7)) / 4))
 
 
 class TestMncs:
