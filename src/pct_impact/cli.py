@@ -409,10 +409,10 @@ def cmd_summary(cfg: AnalysisConfig) -> int:
 def cmd_compare(cfg: AnalysisConfig) -> int:
     dataset = _load_dataset(cfg)
     pairs = cfg.pair_list
-    pct, _ = _analysis_percentiles(cfg, dataset)
     samples = institution_samples(dataset)
-    values = _institution_values(samples, pct)
     _require_known(samples, [label for pair in pairs for label in pair])
+    pct, _ = _analysis_percentiles(cfg, dataset)
+    values = _institution_values(samples, pct)
     table = compare_table(
         values,
         pairs,
@@ -459,8 +459,8 @@ def cmd_topcompare(cfg: AnalysisConfig) -> int:
     dataset = _load_dataset(cfg)
     pairs = cfg.pair_list
     samples = institution_samples(dataset)
-    counts = _top_counts(cfg, dataset, samples)
     _require_known(samples, [label for pair in pairs for label in pair])
+    counts = _top_counts(cfg, dataset, samples)
     table = topcompare_table(counts, pairs, cfg.top_x, ci_level=cfg.ci_level)
     _emit_table(cfg, "topcompare", table)
     return 0

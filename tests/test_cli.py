@@ -192,6 +192,13 @@ class TestTopShareCommands:
         table = json.loads((tmp_path / "topcompare.json").read_text())
         assert table["columns"] == ["A vs B"]
 
+    def test_unknown_institution_before_inverted_check(self, tie_csv, tmp_path, capsys):
+        # binary counting on a file without inv_percentile and no --inverted
+        code = run("topcompare", "--input", tie_csv, "--pairs", "X:NOPE",
+                   "--out-dir", tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("data error: unknown institution 'NOPE'")
+
 
 class TestPercentilesCommand:
     def test_tie_file_weights(self, tie_csv, tmp_path, capsys):

@@ -4,7 +4,7 @@ Runs the commands listed in demos/05_report_cli.py through cli.main into a
 temporary directory. CSV, TSV and SVG files must match byte for byte. JSON
 files must have the same structure and strings, with floats equal to a
 relative tolerance of 1e-12, since the last digits of some CI bounds depend
-on the scipy build.
+on the kernel implementation.
 """
 
 import ast
