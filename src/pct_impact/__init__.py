@@ -15,6 +15,7 @@ from .data import (
     ReferenceSet,
     ReferenceSetKey,
     RejectedRow,
+    SetMembership,
     filter_years,
     group_reference_sets,
     institution_samples,
@@ -55,6 +56,7 @@ from .errors import (
 )
 from .kernels import normal_cdf, normal_quantile, t_cdf, t_quantile
 from .percentiles import (
+    BestPercentiles,
     FractionalTopShare,
     OutlierSensitivityReport,
     PercentileAssignment,

@@ -10,27 +10,18 @@ variable replaces only the built-in seed default. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
 import sys
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .data import (
-    Dataset,
-    IngestionConfig,
-    InstitutionSample,
-    parse_records,
-    filter_years,
-    group_reference_sets,
-    institution_samples,
-    write_rejects_report,
-)
+import numpy as np
+
+from .data import Dataset, IngestionConfig, filter_years, parse_records, write_rejects_report
 from .effects import summarize
 from .errors import CitationImpactError, ConfigurationError, UnknownInstitutionError
 from .percentiles import (
@@ -256,25 +247,30 @@ def _load_dataset(cfg: AnalysisConfig) -> Dataset:
     return dataset
 
 
-def _analysis_percentiles(cfg: AnalysisConfig, dataset: Dataset) -> tuple[dict, bool]:
-    """Percentile per paper id, plus whether the values are inverted.
+def _analysis_percentiles(cfg: AnalysisConfig, dataset: Dataset) -> tuple[np.ndarray, bool]:
+    """Percentile per dataset row, plus whether the values are inverted.
 
     Pre-supplied inverted percentiles win when every record has one;
     otherwise percentiles are computed from the dataset's reference sets
     with the configured scheme.
     """
-    if all(r.inv_percentile is not None for r in dataset.records):
+    supplied = int(np.count_nonzero(~np.isnan(dataset.inv_percentiles)))
+    if supplied == len(dataset):
         if cfg.scheme != "common" or cfg.zero_adjust:
             print(
                 "warning: percentiles read from the inv_percentile column; "
                 "--scheme and --zero-adjust do not apply",
                 file=sys.stderr,
             )
-        return {r.id: r.inv_percentile for r in dataset.records}, True
-    best = assign_best_percentiles(
-        group_reference_sets(dataset), cfg.percentile_scheme, x=cfg.top_x
-    )
-    return {pid: a.percentile for pid, (_, a) in best.items()}, cfg.inverted
+        return dataset.inv_percentiles, True
+    if supplied:
+        print(
+            f"warning: inv_percentile given for {supplied} of {len(dataset)} records; "
+            "percentiles computed from citations",
+            file=sys.stderr,
+        )
+    best = assign_best_percentiles(dataset, cfg.percentile_scheme, x=cfg.top_x)
+    return best.percentile, cfg.inverted
 
 
 def _require_inverted(inverted: bool) -> None:
@@ -285,22 +281,18 @@ def _require_inverted(inverted: bool) -> None:
         )
 
 
-def _require_known(samples: dict[str, InstitutionSample], labels: Sequence[str]) -> None:
+def _require_known(dataset: Dataset, labels: Sequence[str]) -> None:
     for label in labels:
-        if label not in samples:
-            raise UnknownInstitutionError(label, list(samples))
+        if label not in dataset.institution_rows:
+            raise UnknownInstitutionError(label, list(dataset.institution_rows))
 
 
-def _institution_values(
-    samples: dict[str, InstitutionSample], pct: dict
-) -> dict[str, list[float]]:
-    return {
-        label: [pct[r.id] for r in sample.records] for label, sample in samples.items()
-    }
+def _institution_values(dataset: Dataset, per_row: np.ndarray) -> dict[str, list[float]]:
+    return {label: per_row[rows].tolist() for label, rows in dataset.institution_rows.items()}
 
 
-def _top_weights(cfg: AnalysisConfig, dataset: Dataset) -> dict[str, float]:
-    """Top-x weight per paper id under the configured counting mode.
+def _top_weights(cfg: AnalysisConfig, dataset: Dataset) -> np.ndarray:
+    """Top-x weight per dataset row under the configured counting mode.
 
     The one place where --counting becomes per-paper weights. Binary
     counting weighs each paper 0 or 1 by its analysis percentile;
@@ -309,18 +301,13 @@ def _top_weights(cfg: AnalysisConfig, dataset: Dataset) -> dict[str, float]:
     if cfg.counting == "binary":
         pct, inverted = _analysis_percentiles(cfg, dataset)
         _require_inverted(inverted)
-        return {pid: float(classify_top_x(v, cfg.top_x)) for pid, v in pct.items()}
-    best = assign_best_percentiles(
-        group_reference_sets(dataset), cfg.percentile_scheme, x=cfg.top_x
-    )
-    return {pid: a.top_x_weight for pid, (_, a) in best.items()}
+        return np.array([classify_top_x(v, cfg.top_x) for v in pct.tolist()], dtype=float)
+    return assign_best_percentiles(dataset, cfg.percentile_scheme, x=cfg.top_x).top_x_weight
 
 
-def _top_counts(
-    cfg: AnalysisConfig, dataset: Dataset, samples: dict[str, InstitutionSample]
-) -> dict[str, tuple[float, int]]:
+def _top_counts(cfg: AnalysisConfig, dataset: Dataset) -> dict[str, tuple[float, int]]:
     """(top count, n) per institution: the sum of its papers' top-x weights."""
-    weights = _institution_values(samples, _top_weights(cfg, dataset))
+    weights = _institution_values(dataset, _top_weights(cfg, dataset))
     return {label: (math.fsum(v), len(v)) for label, v in weights.items()}
 
 
@@ -361,25 +348,20 @@ def _emit_chart(cfg: AnalysisConfig, stem: str, spec: CiChartSpec) -> None:
 
 def cmd_percentiles(cfg: AnalysisConfig) -> int:
     dataset = _load_dataset(cfg)
-    refsets = group_reference_sets(dataset)
-    best = assign_best_percentiles(refsets, cfg.percentile_scheme, x=cfg.top_x)
-    for refset in refsets:
-        sizes = Counter(m.citations for m in refset.members).values()
-        ties = sum(1 for size in sizes if size > 1)
-        print(
-            f"reference set {refset.key.category}:{refset.key.pub_year}: "
-            f"{len(refset.members)} papers, {ties} tie group(s)",
-            file=sys.stderr,
-        )
-    buf = io.StringIO()
-    buf.write("paper_id,reference_set,rank,percentile,tie_group_size,top_x_weight\n")
-    for label, a in (best[r.id] for r in dataset.records):
-        buf.write(
-            f"{a.paper_id},{label},{a.rank},"
-            f"{a.percentile:.6g},{a.tied_with},{a.top_x_weight:.6g}\n"
-        )
-    path = _write_text(cfg, "percentiles.csv", buf.getvalue())
-    print(f"wrote {len(best)} percentile assignments to {path}")
+    best = assign_best_percentiles(dataset, cfg.percentile_scheme, x=cfg.top_x)
+    for label, size, ties in zip(
+        best.set_labels, best.set_sizes.tolist(), best.set_tie_groups.tolist()
+    ):
+        print(f"reference set {label}: {size} papers, {ties} tie group(s)", file=sys.stderr)
+    lines = ["paper_id,reference_set,rank,percentile,tie_group_size,top_x_weight\n"]
+    labels = best.set_labels
+    for pid, j, rank, pct, tied, weight in zip(
+        dataset.ids, best.best_set.tolist(), best.rank.tolist(),
+        best.percentile.tolist(), best.tied_with.tolist(), best.top_x_weight.tolist(),
+    ):
+        lines.append(f"{pid},{labels[j]},{rank},{pct:.6g},{tied},{weight:.6g}\n")
+    path = _write_text(cfg, "percentiles.csv", "".join(lines))
+    print(f"wrote {len(dataset)} percentile assignments to {path}")
     return 0
 
 
@@ -387,8 +369,7 @@ def cmd_summary(cfg: AnalysisConfig) -> int:
     dataset = _load_dataset(cfg)
     pct, _ = _analysis_percentiles(cfg, dataset)
     stats = {
-        label: summarize(vals)
-        for label, vals in _institution_values(institution_samples(dataset), pct).items()
+        label: summarize(vals) for label, vals in _institution_values(dataset, pct).items()
     }
     table = summary_table(stats, cfg.mu0, ci_level=cfg.ci_level)
     _emit_table(cfg, "summary", table)
@@ -409,10 +390,9 @@ def cmd_summary(cfg: AnalysisConfig) -> int:
 def cmd_compare(cfg: AnalysisConfig) -> int:
     dataset = _load_dataset(cfg)
     pairs = cfg.pair_list
-    samples = institution_samples(dataset)
-    _require_known(samples, [label for pair in pairs for label in pair])
+    _require_known(dataset, [label for pair in pairs for label in pair])
     pct, _ = _analysis_percentiles(cfg, dataset)
-    values = _institution_values(samples, pct)
+    values = _institution_values(dataset, pct)
     table = compare_table(
         values,
         pairs,
@@ -437,7 +417,7 @@ def cmd_compare(cfg: AnalysisConfig) -> int:
 
 def cmd_topshare(cfg: AnalysisConfig) -> int:
     dataset = _load_dataset(cfg)
-    counts = _top_counts(cfg, dataset, institution_samples(dataset))
+    counts = _top_counts(cfg, dataset)
     table = topshare_table(counts, cfg.p0, cfg.top_x, ci_level=cfg.ci_level)
     _emit_table(cfg, "topshare", table)
     series = _table_series(table, (0, 2, 3))
@@ -458,40 +438,45 @@ def cmd_topshare(cfg: AnalysisConfig) -> int:
 def cmd_topcompare(cfg: AnalysisConfig) -> int:
     dataset = _load_dataset(cfg)
     pairs = cfg.pair_list
-    samples = institution_samples(dataset)
-    _require_known(samples, [label for pair in pairs for label in pair])
-    counts = _top_counts(cfg, dataset, samples)
+    _require_known(dataset, [label for pair in pairs for label in pair])
+    counts = _top_counts(cfg, dataset)
     table = topcompare_table(counts, pairs, cfg.top_x, ci_level=cfg.ci_level)
     _emit_table(cfg, "topcompare", table)
     return 0
 
 
+def _reference_means(dataset: Dataset) -> np.ndarray:
+    """Per dataset row, the mean citations of its reference sets, averaged
+    over the paper's sets (the MNCS field baseline)."""
+    sets = dataset.set_membership
+    cits = dataset.citations[sets.rows].tolist()
+    bounds = sets.bounds.tolist()
+    set_means = np.array([math.fsum(cits[a:b]) / (b - a) for a, b in zip(bounds, bounds[1:])])
+    order = np.argsort(sets.rows, kind="stable")
+    means = set_means[sets.set_ids[order]]  # grouped by row
+    n_sets = np.bincount(sets.rows, minlength=len(dataset))
+    first = np.cumsum(n_sets) - n_sets
+    ref_means = means[first]
+    for row in np.flatnonzero(n_sets > 1).tolist():
+        a, k = int(first[row]), int(n_sets[row])
+        ref_means[row] = math.fsum(means[a:a + k].tolist()) / k
+    return ref_means
+
+
 def cmd_robustness(cfg: AnalysisConfig) -> int:
     dataset = _load_dataset(cfg)
-    refsets = group_reference_sets(dataset)
-    set_means = {
-        rs.key: math.fsum(m.citations for m in rs.members) / len(rs.members)
-        for rs in refsets
-    }
-    member_keys: dict[str, list] = {}
-    for rs in refsets:
-        for m in rs.members:
-            member_keys.setdefault(m.id, []).append(rs.key)
-    best = assign_best_percentiles(refsets, cfg.percentile_scheme, x=cfg.top_x)
-    weight = {pid: a.top_x_weight for pid, (_, a) in best.items()}
+    ref_means = _reference_means(dataset)
+    weight = assign_best_percentiles(dataset, cfg.percentile_scheme, x=cfg.top_x).top_x_weight
 
     reports = {}
-    for label, sample in institution_samples(dataset).items():
-        if sample.n < 2:
+    for label, rows in dataset.institution_rows.items():
+        if len(rows) < 2:
             print(f"warning: institution {label!r} has n < 2; skipped", file=sys.stderr)
             continue
-        citations = [r.citations for r in sample.records]
-        ref_means = [
-            math.fsum(set_means[k] for k in member_keys[r.id]) / len(member_keys[r.id])
-            for r in sample.records
-        ]
-        weights = [weight[r.id] for r in sample.records]
-        report = outlier_sensitivity_report(citations, ref_means, weights, cfg.top_x)
+        report = outlier_sensitivity_report(
+            dataset.citations[rows].tolist(), ref_means[rows].tolist(),
+            weight[rows].tolist(), cfg.top_x,
+        )
         reports[label] = report
         print(f"Institution {label} (n = {report.n}):")
         print(
@@ -526,13 +511,12 @@ def cmd_bootstrap(cfg: AnalysisConfig) -> int:
     else:
         pairs = cfg.pair_list
         labels = [label for pair in pairs for label in pair]
-    samples = institution_samples(dataset)
-    _require_known(samples, labels)
+    _require_known(dataset, labels)
     if statistic in (BootstrapStatistic.PROPORTION, BootstrapStatistic.PROP_DIFF):
         per_paper = _top_weights(cfg, dataset)
     else:
         per_paper, _ = _analysis_percentiles(cfg, dataset)
-    values = _institution_values(samples, per_paper)
+    values = _institution_values(dataset, per_paper)
 
     # significance is reported as interval exclusion of the natural null
     null_value = {

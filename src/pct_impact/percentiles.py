@@ -5,6 +5,11 @@ year) is normalized by ranking its citation counts. Two rank-to-percentile
 formulas are supported, in plain or inverted orientation, with optional
 pinning of uncited papers to the worst value. Ties at the top-x% threshold
 are resolved by fractional counting so the set-level share is exactly x%.
+
+The rank, percentile and tie-weight rules live in _rank_in_sets, which
+handles any number of reference sets in one numpy pass;
+assign_best_percentiles runs it over a whole dataset and percentile_rank,
+rank_ascending and rank_descending over a single set.
 """
 
 from __future__ import annotations
@@ -15,15 +20,18 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
-from .data import ReferenceSet
+import numpy as np
+
+from .data import Dataset
 from .errors import DegenerateReferenceError
 
 __all__ = [
     "PercentileFormula",
     "PercentileScheme",
     "PercentileAssignment",
+    "BestPercentiles",
     "FractionalTopShare",
     "OutlierSensitivityReport",
     "rank_ascending",
@@ -71,6 +79,77 @@ class PercentileAssignment:
     top_x_weight: float
 
 
+class _SetRanks(NamedTuple):
+    """_rank_in_sets output: per (set, paper) pair, then per set."""
+
+    rank: np.ndarray
+    percentile: np.ndarray
+    tied_with: np.ndarray
+    top_x_weight: np.ndarray
+    set_sizes: np.ndarray
+    set_tie_groups: np.ndarray  # tie groups of two or more papers
+
+
+def _rank_in_sets(
+    set_ids: np.ndarray, citations: np.ndarray, n_sets: int, scheme: PercentileScheme, x: float
+) -> _SetRanks:
+    """Rank every (set, paper) pair within its set, all sets in one pass.
+
+    Pair i is a paper with citations[i] in set set_ids[i] (0 <= set id <
+    n_sets, every set non-empty); pair results come back in input order.
+    The rank i is ascending (or descending when inverted) with max-tie
+    resolution: a tie group at sorted positions j..k of its set all get
+    rank k, so a tied paper never ranks better than the last paper it ties
+    with. The percentile is 100 (i-1)/n or 100 i/n depending on the
+    formula, and zero_rank_adjust then pins uncited papers to the worst
+    value. Each set's top-x weights come from _top_x_split.
+    """
+    order = np.lexsort((citations, set_ids))
+    c = citations[order]
+    s = set_ids[order]
+    m = len(c)
+    bounds = np.searchsorted(s, np.arange(n_sets + 1))  # set j is c[bounds[j]:bounds[j + 1]]
+    # tie groups: runs of equal (set, citations) in sorted order, group g at first[g]:last[g]
+    first = np.flatnonzero(np.concatenate(([True], (c[1:] != c[:-1]) | (s[1:] != s[:-1]))))
+    last = np.concatenate((first[1:], [m]))
+    size = last - first
+    g_set = s[first]
+    g_cits = c[first]
+    set_lo, set_hi = bounds[g_set], bounds[g_set + 1]
+
+    rank = set_hi - first if scheme.inverted else last - set_lo
+    if scheme.formula is PercentileFormula.COMMON:
+        pct = 100.0 * (rank - 1) / (set_hi - set_lo)
+    else:
+        pct = 100.0 * rank / (set_hi - set_lo)
+    if scheme.zero_rank_adjust:
+        pct[g_cits == 0] = scheme.worst_value()
+
+    threshold = np.empty(n_sets, dtype=c.dtype)
+    w_threshold = np.empty(n_sets)
+    for j, (a, b) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        threshold[j], _, _, w_tie = _top_x_split(c[a:b], x)
+        w_threshold[j] = float(w_tie)
+    t = threshold[g_set]
+    weight = np.where(g_cits > t, 1.0, np.where(g_cits == t, w_threshold[g_set], 0.0))
+
+    pair_group = np.empty(m, dtype=np.intp)  # each input pair's tie group
+    pair_group[order] = np.repeat(np.arange(len(first)), size)
+    return _SetRanks(
+        rank=rank[pair_group],
+        percentile=pct[pair_group],
+        tied_with=size[pair_group],
+        top_x_weight=weight[pair_group],
+        set_sizes=bounds[1:] - bounds[:-1],
+        set_tie_groups=np.bincount(g_set[size > 1], minlength=n_sets),
+    )
+
+
+def _rank_one_set(citations: Sequence[int], scheme: PercentileScheme, x: float) -> _SetRanks:
+    values = np.asarray(citations)
+    return _rank_in_sets(np.zeros(len(values), dtype=np.int64), values, 1, scheme, x)
+
+
 def rank_ascending(citations: Sequence[int]) -> list[int]:
     """Rank papers by ascending citation count, ties at the maximum rank.
 
@@ -79,17 +158,14 @@ def rank_ascending(citations: Sequence[int]) -> list[int]:
     """
     if not citations:
         raise ValueError("rank_ascending: empty citation list")
-    ordered = sorted(citations)
-    return [bisect_right(ordered, c) for c in citations]
+    return _rank_one_set(citations, PercentileScheme(), 10.0).rank.tolist()
 
 
 def rank_descending(citations: Sequence[int]) -> list[int]:
     """Rank papers by descending citation count, ties at the maximum rank."""
     if not citations:
         raise ValueError("rank_descending: empty citation list")
-    ordered = sorted(citations)
-    n = len(ordered)
-    return [n - bisect_left(ordered, c) for c in citations]
+    return _rank_one_set(citations, PercentileScheme(inverted=True), 10.0).rank.tolist()
 
 
 def percentile_rank(
@@ -112,32 +188,14 @@ def percentile_rank(
         ids = [str(i) for i in range(n)]
     elif len(ids) != n:
         raise ValueError("percentile_rank: ids and citations lengths differ")
-
-    ranks = rank_descending(citations) if scheme.inverted else rank_ascending(citations)
-    counts = Counter(citations)
-    threshold, _, _, w_tie = _top_x_split(sorted(citations), x)
-    w_threshold = float(w_tie)
-
-    out = []
-    for pid, c, i in zip(ids, citations, ranks):
-        if scheme.formula is PercentileFormula.COMMON:
-            pct = 100.0 * (i - 1) / n
-        else:
-            pct = 100.0 * i / n
-        if scheme.zero_rank_adjust and c == 0:
-            pct = scheme.worst_value()
-        out.append(
-            PercentileAssignment(
-                paper_id=pid,
-                rank=i,
-                percentile=pct,
-                tied_with=counts[c],
-                top_x_weight=(
-                    1.0 if c > threshold else w_threshold if c == threshold else 0.0
-                ),
-            )
+    ranked = _rank_one_set(citations, scheme, x)
+    return [
+        PercentileAssignment(paper_id=pid, rank=i, percentile=pct, tied_with=t, top_x_weight=w)
+        for pid, i, pct, t, w in zip(
+            ids, ranked.rank.tolist(), ranked.percentile.tolist(),
+            ranked.tied_with.tolist(), ranked.top_x_weight.tolist(),
         )
-    return out
+    ]
 
 
 def classify_top_x(inv_percentile: float, x: float) -> int:
@@ -198,12 +256,15 @@ def _top_x_split(ordered: Sequence[int], x: float) -> tuple[int, int, int, Fract
     if not 0.0 < x < 100.0:
         raise ValueError(f"top-x share: x must be in (0, 100), got {x}")
     n = len(ordered)
-    slots = Fraction(n) * Fraction(x) / 100
-    threshold = ordered[n - math.ceil(slots)]  # descending position k is ordered[n - k]
+    p, q = x.as_integer_ratio()
+    top, scale = n * p, 100 * q  # the slots are exactly top / scale
+    k = -(-top // scale)  # ceil(n*x/100)
+    threshold = ordered[n - k]  # descending position k is ordered[n - k]
     end = bisect_right(ordered, threshold)
     count_above = n - end
     tie_count = end - bisect_left(ordered, threshold)
-    w_tie = min(max((slots - count_above) / tie_count, Fraction(0)), Fraction(1))
+    room = scale * tie_count
+    w_tie = Fraction(min(max(top - scale * count_above, 0), room), room)
     return threshold, count_above, tie_count, w_tie
 
 
@@ -305,9 +366,10 @@ def outlier_sensitivity_report(
     mncs_full = mncs(citations, ref_means)
     mncs_drop = mncs([citations[i] for i in kept], [ref_means[i] for i in kept])
 
-    w = [Fraction(v) for v in weights]
-    share_full = float(sum(w, Fraction(0)) / n)
-    share_drop = float(sum((w[i] for i in kept), Fraction(0)) / (n - 1))
+    # exact sums; a sample holds few distinct weights, so sum each value once
+    total = sum((Fraction(v) * k for v, k in Counter(weights).items()), Fraction(0))
+    share_full = float(total / n)
+    share_drop = float((total - Fraction(weights[idx_max])) / (n - 1))
 
     def rel(a: float, b: float) -> float:
         return abs(a - b) / abs(a) if a != 0 else (0.0 if b == 0 else math.inf)
@@ -355,28 +417,51 @@ def outlier_sensitivity(
     return outlier_sensitivity_report(citations, ref_means, weights, x)
 
 
+@dataclass(frozen=True)
+class BestPercentiles:
+    """Each paper's best reference set and what that set assigns it.
+
+    The per-paper arrays follow the dataset's row order; best_set indexes
+    set_labels ("category:year", sorted by category then year). Per set,
+    set_sizes counts its papers and set_tie_groups its groups of two or
+    more papers with equal citations.
+    """
+
+    set_labels: tuple[str, ...]
+    set_sizes: np.ndarray
+    set_tie_groups: np.ndarray
+    best_set: np.ndarray
+    rank: np.ndarray
+    percentile: np.ndarray
+    tied_with: np.ndarray
+    top_x_weight: np.ndarray
+
+
 def assign_best_percentiles(
-    refsets: Sequence[ReferenceSet], scheme: PercentileScheme, x: float = 10.0
-) -> dict[str, tuple[str, PercentileAssignment]]:
+    dataset: Dataset, scheme: PercentileScheme, x: float = 10.0
+) -> BestPercentiles:
     """Percentile every paper within each of its reference sets, keep the best.
 
-    refsets are a dataset's sets from group_reference_sets. A paper with k
-    categories is ranked in k sets; the reported percentile is the one
-    where it performs best (lowest when inverted, highest otherwise),
-    together with that set's tie metadata and fractional weight. Maps each
-    paper id to its best set's label ("category:year") and assignment.
+    A paper with k categories is ranked in k sets; the reported percentile
+    is the one where it performs best (lowest when inverted, highest
+    otherwise), together with that set's rank, tie-group size and
+    fractional weight. On equal percentiles the set that sorts first wins.
     """
-    per_paper: dict[str, tuple[str, PercentileAssignment]] = {}
-    for refset in refsets:
-        cits = [m.citations for m in refset.members]
-        ids = [m.id for m in refset.members]
-        label = f"{refset.key.category}:{refset.key.pub_year}"
-        for a in percentile_rank(cits, scheme, x=x, ids=ids):
-            prev = per_paper.get(a.paper_id)
-            if (
-                prev is None
-                or (scheme.inverted and a.percentile < prev[1].percentile)
-                or (not scheme.inverted and a.percentile > prev[1].percentile)
-            ):
-                per_paper[a.paper_id] = (label, a)
-    return per_paper
+    sets = dataset.set_membership
+    ranked = _rank_in_sets(
+        sets.set_ids, dataset.citations[sets.rows], len(sets.keys), scheme, x
+    )
+    better_first = ranked.percentile if scheme.inverted else -ranked.percentile
+    order = np.lexsort((sets.set_ids, better_first, sets.rows))
+    paper = sets.rows[order]
+    best = order[np.flatnonzero(np.r_[True, paper[1:] != paper[:-1]])]
+    return BestPercentiles(
+        set_labels=tuple(f"{k.category}:{k.pub_year}" for k in sets.keys),
+        set_sizes=ranked.set_sizes,
+        set_tie_groups=ranked.set_tie_groups,
+        best_set=sets.set_ids[best],
+        rank=ranked.rank[best],
+        percentile=ranked.percentile[best],
+        tied_with=ranked.tied_with[best],
+        top_x_weight=ranked.top_x_weight[best],
+    )

@@ -106,6 +106,18 @@ class TestSuppliedPercentiles:
                    "--format", "tsv") == 0
         assert self.WARNING not in capsys.readouterr().err.splitlines()
 
+    def test_partial_column_warns(self, tmp_path, capsys):
+        path = tmp_path / "partial.csv"
+        path.write_text(
+            HEADER + "a1,A,2001,CAT,9,10\n" + "a2,A,2001,CAT,5,40\n"
+            + "a3,A,2001,CAT,1,\n" + "a4,A,2001,CAT,3,55\n",
+            encoding="utf-8",
+        )
+        assert run("summary", "--input", path, "--out-dir", tmp_path, "--format", "tsv") == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: inv_percentile given for 3 of 4 records; percentiles computed from citations"
+        ]
+
 
 class TestCompareCommand:
     def test_pairs_and_optional_rows(self, inst_csv, tmp_path, capsys):

@@ -111,9 +111,13 @@ class TestParse:
             ("q,i,2001, | ,1,", "empty category"),
             ("q,i,2001,A,y,", "invalid literal for int() with base 10: 'y'"),
             ("q,i,2001,A,-3,", "citations must be >= 0, got -3"),
+            ("q,i,2001,A,9223372036854775808,",
+             "citations must be < 2**63, got 9223372036854775808"),
             ("q,i,2001,A,1,abc", "could not convert string to float: 'abc'"),
             ("q,i,2001,A,1,140", "inv_percentile must be in [0, 100], got 140.0"),
             ("p1,i,2001,B,6,", "conflicts with earlier row for id 'p1'"),
+            ("q,i,2001", "invalid literal for int() with base 10: ''"),  # short row
+            ("q,i, x ,A,1,", "invalid literal for int() with base 10: 'x'"),  # padded
         ],
     )
     def test_reject_reasons(self, row, reason):
@@ -122,6 +126,36 @@ class TestParse:
         )
         assert rejects == [RejectedRow(row=3, reason=reason)]
         assert [r.id for r in ds.records] == ["p1"]
+
+    def test_extra_trailing_fields_ignored(self):
+        ds = _dataset(["p1,i,2001,A,5,,extra,more\n"])
+        assert ds.records == (PublicationRecord("p1", "i", 2001, ("A",), 5),)
+
+    def test_blank_lines_are_not_rows(self):
+        text = HEADER + "p1,i,2001,A,5,\n\n\n\n" + "q,i,2001,A,-3,\n"
+        ds, rejects = parse_records(text, IngestionConfig(reject_threshold=0.6))
+        assert rejects == [RejectedRow(row=6, reason="citations must be >= 0, got -3")]
+        assert [r.id for r in ds.records] == ["p1"]
+        # 1 of 2 rows rejected: the three blank lines do not dilute the share
+        with pytest.raises(RejectThresholdError, match="1 of 2 rows"):
+            parse_records(text, IngestionConfig(reject_threshold=0.4))
+
+    def test_quoted_newline_reports_physical_line(self):
+        _, rejects = parse_records(
+            HEADER + "p1,i,2001,A,5,\n" + 'q,"i\nj",2001,A,-3,\n',
+            IngestionConfig(reject_threshold=0.6),
+        )
+        assert rejects == [RejectedRow(row=4, reason="citations must be >= 0, got -3")]
+
+    def test_duplicated_header_column_last_wins(self):
+        ds, rejects = parse_records(
+            "id,institution,pub_year,category,citations,citations\np1,i,2001,A,5,7\n"
+        )
+        assert not rejects and ds.records[0].citations == 7
+
+    def test_repeated_id_merges_pipe_categories(self):
+        ds = _dataset(["p1,i,2001,A|B,5,\n", "p1,i,2001,B|C,5,\n"])
+        assert ds.records == (PublicationRecord("p1", "i", 2001, ("A", "B", "C"), 5),)
 
     def test_several_faults_report_first_conversion(self):
         _, rejects = parse_records(

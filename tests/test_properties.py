@@ -1,10 +1,21 @@
 """Property-based invariants for the statistical core."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from pct_impact import cli
+from pct_impact.data import (
+    Dataset,
+    InstitutionSample,
+    PublicationRecord,
+    ReferenceSet,
+    group_reference_sets,
+)
 
 from pct_impact.effects import (
     SummaryStats,
@@ -15,8 +26,10 @@ from pct_impact.effects import (
     two_sample_prop_z,
 )
 from pct_impact.percentiles import (
+    PercentileAssignment,
     PercentileFormula,
     PercentileScheme,
+    assign_best_percentiles,
     fractional_top_share,
     percentile_rank,
 )
@@ -129,3 +142,105 @@ def test_mann_whitney_swap_flips_z(a, b):
     rev = mann_whitney(b, a)
     assert math.isclose(fwd.z_approx, -rev.z_approx, rel_tol=1e-9, abs_tol=1e-12)
     assert math.isclose(fwd.p_two_tailed, rev.p_two_tailed, rel_tol=1e-9, abs_tol=1e-12)
+
+
+papers = st.lists(
+    st.tuples(
+        st.sampled_from(["I", "J"]),
+        st.sampled_from([2001, 2002, 2003]),
+        st.lists(st.sampled_from(["A", "B", "C", "D"]), min_size=1, max_size=3, unique=True),
+        st.integers(min_value=0, max_value=30),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _brute_force_best(records, scheme, x):
+    """Per paper id: (set label, rank, percentile, tie size, Fraction weight),
+    ranking by counting and keeping the first set on equal percentiles."""
+    sets = {}
+    for r in records:
+        for cat in r.categories:
+            sets.setdefault((cat, r.pub_year), []).append(r)
+    best = {}
+    for cat, year in sorted(sets):
+        cits = [m.citations for m in sets[cat, year]]
+        n = len(cits)
+        slots = Fraction(n) * Fraction(x) / 100
+        threshold = sorted(cits, reverse=True)[math.ceil(slots) - 1]
+        above = sum(1 for c in cits if c > threshold)
+        w_tie = min(max((slots - above) / cits.count(threshold), Fraction(0)), Fraction(1))
+        for m in sets[cat, year]:
+            c = m.citations
+            if scheme.inverted:
+                rank = sum(1 for v in cits if v >= c)
+            else:
+                rank = sum(1 for v in cits if v <= c)
+            if scheme.formula is PercentileFormula.COMMON:
+                pct = 100.0 * (rank - 1) / n
+            else:
+                pct = 100.0 * rank / n
+            if scheme.zero_rank_adjust and c == 0:
+                pct = scheme.worst_value()
+            weight = Fraction(1) if c > threshold else w_tie if c == threshold else Fraction(0)
+            prev = best.get(m.id)
+            if prev is None or (pct < prev[2] if scheme.inverted else pct > prev[2]):
+                best[m.id] = (f"{cat}:{year}", rank, pct, cits.count(c), weight)
+    return best
+
+
+@given(papers, schemes, st.sampled_from([1.0, 10.0, 33.3, 50.0, 99.0]))
+@settings(max_examples=200)
+def test_best_percentiles_match_brute_force(rows, scheme, x):
+    records = [
+        PublicationRecord(f"p{k}", inst, year, tuple(cats), cits)
+        for k, (inst, year, cats, cits) in enumerate(rows)
+    ]
+    dataset = Dataset.from_records(records)
+    got = assign_best_percentiles(dataset, scheme, x)
+    want = _brute_force_best(records, scheme, x)
+    for k, r in enumerate(records):
+        label, rank, pct, tied, weight = want[r.id]
+        assert got.set_labels[got.best_set[k]] == label
+        assert (int(got.rank[k]), float(got.percentile[k]), int(got.tied_with[k])) == (
+            rank, pct, tied
+        )
+        assert float(got.top_x_weight[k]) == float(weight)
+    for refset in group_reference_sets(dataset):
+        n = len(refset.members)
+        weights = [a.top_x_weight for a in percentile_rank(
+            [m.citations for m in refset.members], scheme, x=x)]
+        assert abs(math.fsum(weights) - n * x / 100) <= 1e-9
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """Counts the objects of the per-record API built while the test runs."""
+    counts = Counter()
+    for cls in (PublicationRecord, ReferenceSet, InstitutionSample, PercentileAssignment):
+        def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return counts
+
+
+def test_cli_builds_no_per_record_objects(tmp_path, constructed):
+    lines = ["id,institution,pub_year,category,citations\n"]
+    for k in range(60):
+        cats = "A|B" if k % 5 == 0 else "AB"[k % 2]
+        lines.append(f"p{k},{'XYZ'[k % 3]},{2001 + k % 2},{cats},{(k * 7) % 11}\n")
+    path = tmp_path / "in.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    common = ["--input", str(path), "--out-dir", str(tmp_path / "out"),
+              "--scheme", "incites", "--inverted", "--zero-adjust"]
+    for argv in (
+        ["percentiles"], ["summary"], ["compare", "--pairs", "X:Y", "--mann-whitney"],
+        ["topshare", "--counting", "fractional"], ["topcompare", "--pairs", "X:Z"],
+        ["robustness"],
+        ["bootstrap", "--statistic", "prop-diff", "--pairs", "X:Y", "--bootstrap-reps", "20"],
+    ):
+        assert cli.main(argv + common) == 0
+    assert constructed == Counter()
