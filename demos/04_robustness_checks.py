@@ -42,11 +42,11 @@ for method in CiMethod:
 print(f"   analytic t: [{analytic.ci_low:6.2f}, {analytic.ci_high:6.2f}]"
       f"   se {analytic.se:.3f}")
 
-print("\n   same seed, 8 worker threads -> bit-identical result:")
+print("\n   same seed, rerun -> bit-identical result:")
 spec = BootstrapSpec(replicates=2000, seed=7)
-serial = bootstrap_statistic(strong, BootstrapStatistic.MEAN, spec, workers=1)
-threaded = bootstrap_statistic(strong, BootstrapStatistic.MEAN, spec, workers=8)
-print(f"   {serial == threaded}")
+first = bootstrap_statistic(strong, BootstrapStatistic.MEAN, spec)
+rerun = bootstrap_statistic(strong, BootstrapStatistic.MEAN, spec)
+print(f"   {first == rerun}")
 
 print("\n2. Mann-Whitney rank-sum as an ordinal-scale cross-check")
 t = two_sample_pooled_t(summarize(list(average)), summarize(list(strong)))

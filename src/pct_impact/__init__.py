@@ -78,6 +78,7 @@ from .resampling import (
     BootstrapStatistic,
     CiMethod,
     RankSumResult,
+    bootstrap_samples,
     bootstrap_statistic,
     mann_whitney,
 )

@@ -31,7 +31,7 @@ from .percentiles import (
     classify_top_x,
     outlier_sensitivity_report,
 )
-from .resampling import BootstrapSpec, BootstrapStatistic, CiMethod, bootstrap_statistic
+from .resampling import BootstrapSpec, BootstrapStatistic, CiMethod, bootstrap_samples
 from .svgchart import CiChartSpec, CiSeries, render_ci_chart
 from .tables import ReportTable, compare_table, summary_table, topcompare_table, topshare_table
 
@@ -195,7 +195,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", dest="out_dir", default=None)
     p.add_argument("--format", default=None, help="comma list from tsv,json,svg")
     p.add_argument("--last-year", dest="last_year", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted for compatibility (>= 1); changes nothing")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -530,7 +531,7 @@ def cmd_bootstrap(cfg: AnalysisConfig) -> int:
         data = [values[cfg.institution]]
     else:
         data = [(values[a], values[b]) for a, b in pairs]
-    results = [bootstrap_statistic(d, statistic, spec, cfg.workers) for d in data]
+    results = bootstrap_samples(data, statistic, spec)
     payload = []
     for r in results:
         entry = r.to_json_dict()

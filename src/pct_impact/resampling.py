@@ -1,15 +1,20 @@
 """Nonparametric double-checks: seeded bootstrap and Mann-Whitney.
 
 The bootstrap derives one independent RNG stream per replicate from the
-master seed, so results are bit-for-bit reproducible no matter how many
-worker threads execute the replicates or in which order they finish.
+master seed: replicate i uses the i-th `SeedSequence` child and draws
+group a's indices, then group b's, with `default_rng(child).integers`.
+Results are bit-for-bit reproducible. The replicates are computed in
+blocks: each replicate's PCG64 stream is read once as an array of 32-bit
+words, turned into the same indices numpy's bounded sampler would give,
+and shared by every sample bootstrapped under the same spec. The rare
+replicate holding a draw that numpy rejects is recomputed by numpy itself.
+There is no thread pool; a `workers` argument changes nothing.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -25,6 +30,7 @@ __all__ = [
     "BootstrapSpec",
     "BootstrapResult",
     "RankSumResult",
+    "bootstrap_samples",
     "bootstrap_statistic",
     "mann_whitney",
 ]
@@ -108,65 +114,97 @@ def _point_estimate(a: np.ndarray, b: Optional[np.ndarray]) -> float:
     return float(a.mean() - b.mean())
 
 
-def _replicate_block(
+# Draws per block of replicates: the stream, index and value arrays of one
+# block stay near 1 MB whatever the sample sizes.
+_BLOCK_DRAWS = 1 << 15
+
+
+def _replicate(a: np.ndarray, b: Optional[np.ndarray], child: np.random.SeedSequence) -> float:
+    """One replicate drawn by numpy itself; the reference the block kernel
+    reproduces, and its exact fallback."""
+    rng = np.random.default_rng(child)
+    ra = a[rng.integers(0, a.size, a.size)]
+    if b is None:
+        return ra.mean()
+    rb = b[rng.integers(0, b.size, b.size)]
+    return ra.mean() - rb.mean()
+
+
+def _uint32_streams(children: Sequence[np.random.SeedSequence], words: int) -> np.ndarray:
+    """Row i holds the first 2 * words 32-bit outputs of child i's PCG64, in
+    the order `Generator.integers` consumes them: each 64-bit word split into
+    its low half, then its high half (a spare half carries over between
+    calls). Held as uint64 so that a draw times a range below 2**32 cannot
+    overflow."""
+    raw = np.stack([np.random.PCG64(child).random_raw(words) for child in children])
+    out = np.empty((len(children), 2 * words), dtype=np.uint64)
+    out[:, 0::2] = raw & np.uint64(0xFFFFFFFF)
+    out[:, 1::2] = raw >> np.uint64(32)
+    return out
+
+
+def _bounded_draws(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices in [0, n), 2 <= n < 2**32, from 32-bit draws u as
+    `Generator.integers(0, n)` computes them (Lemire 2019, multiply-shift):
+    the high half of u * n. Also flags each row holding a draw that numpy
+    rejects and redraws, one whose low half is below 2**32 mod n; every later
+    index of such a row comes from a shifted stream."""
+    m = u * np.uint64(n)
+    rejected = (m & np.uint64(0xFFFFFFFF)) < np.uint64((1 << 32) % n)
+    return (m >> np.uint64(32)).astype(np.intp), rejected.any(axis=1)
+
+
+def _block_statistics(
     a: np.ndarray,
     b: Optional[np.ndarray],
-    seeds: Sequence[np.random.SeedSequence],
-    start: int,
-    stop: int,
-    out: np.ndarray,
-) -> None:
-    for i in range(start, stop):
-        rng = np.random.default_rng(seeds[i])
-        ra = a[rng.integers(0, a.size, a.size)]
-        if b is None:
-            out[i] = ra.mean()
-        else:
-            rb = b[rng.integers(0, b.size, b.size)]
-            out[i] = ra.mean() - rb.mean()
+    children: Sequence[np.random.SeedSequence],
+    draws: np.ndarray,
+) -> np.ndarray:
+    """Replicate statistics for one block: group a reads draws [0, n_a),
+    group b draws [n_a, n_a + n_b), as the two `integers` calls of
+    `_replicate` do. Rows with a rejected draw are recomputed by it."""
+    idx, redraw = _bounded_draws(draws[:, : a.size], a.size)
+    stats = a[idx].mean(axis=1)
+    if b is not None:
+        idx, redraw_b = _bounded_draws(draws[:, a.size : a.size + b.size], b.size)
+        stats -= b[idx].mean(axis=1)
+        redraw |= redraw_b
+    for row in np.flatnonzero(redraw):
+        stats[row] = _replicate(a, b, children[row])
+    return stats
 
 
-def bootstrap_statistic(
-    data: Union[Sequence[float], tuple[Sequence[float], Sequence[float]]],
+def _replicate_statistics(
+    samples: Sequence[tuple[np.ndarray, Optional[np.ndarray]]], spec: BootstrapSpec
+) -> np.ndarray:
+    """Replicate statistics, one row per sample: replicate i of every sample
+    reads the i-th spawned child of the master seed. Each block of
+    replicates builds its streams once, wide enough for the widest sample."""
+    children = np.random.SeedSequence(spec.seed).spawn(spec.replicates)
+    width = max(a.size + (0 if b is None else b.size) for a, b in samples)
+    words = (width + 1) // 2
+    rows = max(1, _BLOCK_DRAWS // (2 * words))
+    out = np.empty((len(samples), spec.replicates))
+    for lo in range(0, spec.replicates, rows):
+        block = children[lo : lo + rows]
+        draws = _uint32_streams(block, words)
+        for k, (a, b) in enumerate(samples):
+            out[k, lo : lo + len(block)] = _block_statistics(a, b, block, draws)
+    return out
+
+
+def _summarize(
     statistic: BootstrapStatistic,
     spec: BootstrapSpec,
-    workers: int = 1,
+    point: float,
+    stats: np.ndarray,
 ) -> BootstrapResult:
-    """Resample observations with replacement and summarize the statistic.
-
-    Two-sample statistics resample each group independently at its own
-    size. The point estimate always comes from the original data; se_boot
-    is the standard deviation of the replicate statistics. A degenerate
-    (constant) sample collapses the interval to the point with a warning
-    rather than an error.
-    """
-    a, b = _normalize_data(data, statistic)
-    point = _point_estimate(a, b)
-
-    seeds = np.random.SeedSequence(spec.seed).spawn(spec.replicates)
-    stats = np.empty(spec.replicates, dtype=float)
-    if workers <= 1:
-        _replicate_block(a, b, seeds, 0, spec.replicates, stats)
-    else:
-        chunk = math.ceil(spec.replicates / workers)
-        bounds = [
-            (lo, min(lo + chunk, spec.replicates))
-            for lo in range(0, spec.replicates, chunk)
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_replicate_block, a, b, seeds, lo, hi, stats)
-                for lo, hi in bounds
-            ]
-            for f in futures:
-                f.result()
-
     se_boot = float(stats.std(ddof=1)) if spec.replicates > 1 else 0.0
     if se_boot == 0.0:
         warnings.warn(
             "bootstrap: replicate statistics are constant; interval collapses to the point",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         ci_low = ci_high = point
     elif spec.ci_method is CiMethod.NORMAL_APPROX:
@@ -185,6 +223,46 @@ def bootstrap_statistic(
         replicates_used=spec.replicates,
         seed=spec.seed,
     )
+
+
+def bootstrap_samples(
+    samples: Sequence[Union[Sequence[float], tuple[Sequence[float], Sequence[float]]]],
+    statistic: BootstrapStatistic,
+    spec: BootstrapSpec,
+) -> list[BootstrapResult]:
+    """`bootstrap_statistic` for each of several samples (or sample pairs)
+    under one spec, with the replicate streams built once for all of them.
+
+    Replicate i of every sample uses the same i-th child stream, exactly as
+    separate calls would, so each result equals its own call bit for bit.
+    """
+    data = [_normalize_data(d, statistic) for d in samples]
+    if not data:
+        return []
+    stats = _replicate_statistics(data, spec)
+    return [
+        _summarize(statistic, spec, _point_estimate(a, b), row)
+        for (a, b), row in zip(data, stats)
+    ]
+
+
+def bootstrap_statistic(
+    data: Union[Sequence[float], tuple[Sequence[float], Sequence[float]]],
+    statistic: BootstrapStatistic,
+    spec: BootstrapSpec,
+    workers: int = 1,
+) -> BootstrapResult:
+    """Resample observations with replacement and summarize the statistic.
+
+    Two-sample statistics resample each group independently at its own
+    size. The point estimate always comes from the original data; se_boot
+    is the standard deviation of the replicate statistics. A degenerate
+    (constant) sample collapses the interval to the point with a warning
+    rather than an error. `workers` is accepted for compatibility and
+    changes nothing: the replicates run as vectorised blocks in the
+    calling thread.
+    """
+    return bootstrap_samples([data], statistic, spec)[0]
 
 
 @dataclass(frozen=True)

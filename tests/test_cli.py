@@ -284,6 +284,23 @@ class TestBootstrapCommand:
             "--out-dir", tmp_path, "--format", "json")
         assert json.loads((tmp_path / "bootstrap.json").read_text())["seed"] == 3
 
+    @pytest.mark.parametrize("statistic", ["mean-diff", "prop-diff"])
+    def test_pairs_share_streams_without_coupling(self, inst_csv, tmp_path, statistic):
+        # every pair reads the same replicate streams; each entry must still
+        # equal a run with that pair alone
+        def entries(pairs, out):
+            code = run("bootstrap", "--input", inst_csv, "--statistic", statistic,
+                       "--pairs", pairs, "--bootstrap-reps", "300", "--seed", "21",
+                       "--ci", "percentile", "--out-dir", out, "--format", "json")
+            assert code == 0
+            return json.loads((out / "bootstrap.json").read_text())
+
+        together = entries("A:B,A:C,B:C", tmp_path / "all")
+        alone = [entries(pair, tmp_path / pair.replace(":", ""))
+                 for pair in ("A:B", "A:C", "B:C")]
+        assert together == alone
+        assert len({entry["se_boot"] for entry in alone}) == 3
+
     def test_mean_diff_uses_pairs(self, inst_csv, tmp_path):
         code = run("bootstrap", "--input", inst_csv, "--statistic", "mean-diff",
                    "--pairs", "A:B", "--bootstrap-reps", "100",

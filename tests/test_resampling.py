@@ -2,17 +2,24 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pct_impact.effects import summarize, two_sample_pooled_t
 from pct_impact.errors import DegenerateVarianceError
 from pct_impact.kernels import t_quantile
 from pct_impact.resampling import (
+    BootstrapResult,
     BootstrapSpec,
     BootstrapStatistic,
     CiMethod,
+    _bounded_draws,
+    _uint32_streams,
+    bootstrap_samples,
     bootstrap_statistic,
     mann_whitney,
 )
@@ -88,7 +95,152 @@ class TestBootstrapDeterminism:
             rb = b[rng.integers(0, b.size, b.size)]
             expected.append(ra.mean() - rb.mean())
         expected = np.array(expected)
-        assert result.se_boot == pytest.approx(float(expected.std(ddof=1)), rel=1e-12)
+        assert result.se_boot == float(expected.std(ddof=1))
+
+
+def numpy_lemire(stream, n, k):
+    """Generator.integers(0, n, k) rebuilt in Python on a 32-bit stream:
+    the k indices and the number of draws numpy rejected and redrew."""
+    words = iter(int(u) for u in stream)
+    out, redraws = [], 0
+    threshold = (1 << 32) % n
+    while len(out) < k:
+        m = next(words) * n
+        if (m & 0xFFFFFFFF) < threshold:
+            redraws += 1
+        else:
+            out.append(m >> 32)
+    return out, redraws
+
+
+def reference_bootstrap(data, statistic, spec):
+    """The per-replicate loop, one numpy Generator per spawned child."""
+    two_sample = statistic in (BootstrapStatistic.MEAN_DIFF, BootstrapStatistic.PROP_DIFF)
+    a, b = (np.asarray(x, dtype=float) for x in data) if two_sample else (
+        np.asarray(data, dtype=float), None)
+    stats = np.empty(spec.replicates)
+    for i, child in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.replicates)):
+        rng = np.random.default_rng(child)
+        ra = a[rng.integers(0, a.size, a.size)]
+        if b is None:
+            stats[i] = ra.mean()
+        else:
+            rb = b[rng.integers(0, b.size, b.size)]
+            stats[i] = ra.mean() - rb.mean()
+    point = float(a.mean()) if b is None else float(a.mean() - b.mean())
+    se = float(stats.std(ddof=1)) if spec.replicates > 1 else 0.0
+    if se == 0.0:
+        low = high = point
+    elif spec.ci_method is CiMethod.NORMAL_APPROX:
+        low, high = point - 1.96 * se, point + 1.96 * se
+    else:
+        low, high = float(np.quantile(stats, 0.025)), float(np.quantile(stats, 0.975))
+    return BootstrapResult(statistic, point, se, low, high, spec.ci_method,
+                           spec.replicates, spec.seed)
+
+
+class TestStreamReplica:
+    CHILDREN = np.random.SeedSequence(2024).spawn(200)
+
+    @pytest.mark.parametrize("n", [2, 3, 375, 500, 501, 100_000, 2**31 + 1, 2**32 - 1])
+    def test_indices_and_reject_flags_match_numpy(self, n):
+        k = 16
+        draws = _uint32_streams(self.CHILDREN, 4 * k)
+        idx, flagged = _bounded_draws(draws[:, :k], n)
+        rejected = 0
+        for row, child in enumerate(self.CHILDREN):
+            want = np.random.default_rng(child).integers(0, n, k)
+            rebuilt, redraws = numpy_lemire(draws[row], n, k)
+            assert rebuilt == want.tolist()
+            assert bool(flagged[row]) == (redraws > 0)
+            if not flagged[row]:
+                assert idx[row].tolist() == want.tolist()
+            rejected += redraws
+        if n == 2**31 + 1:
+            # 2**32 mod n = 2**31 - 1: about half of all draws are redrawn
+            assert 0.4 < rejected / (rejected + k * len(self.CHILDREN)) < 0.6
+        else:
+            assert not flagged.any()
+
+    @pytest.mark.parametrize("n", [3, 501, 2**31 + 1])
+    def test_reject_threshold_edges(self, n):
+        # words whose low half of u * n lands just below, on and just above
+        # numpy's threshold 2**32 mod n (odd n, so u * n covers every low
+        # half); only the first is redrawn
+        threshold = (1 << 32) % n
+        inverse = pow(n, -1, 1 << 32)
+        words = [(low * inverse) % (1 << 32) for low in (threshold - 1, threshold, threshold + 1)]
+        idx, flagged = _bounded_draws(np.array(words, dtype=np.uint64).reshape(3, 1), n)
+        assert flagged.tolist() == [True, False, False]
+        for row, word in enumerate(words[1:], start=1):
+            assert idx[row].tolist() == numpy_lemire([word], n, 1)[0]
+
+    @pytest.mark.parametrize("n_a,n_b", [(3, 500), (375, 2), (501, 501), (1, 7)])
+    def test_second_call_after_odd_first_call(self, n_a, n_b):
+        # a first call of odd length leaves the high half of its last 64-bit
+        # word buffered; numpy's second call starts with it
+        draws = _uint32_streams(self.CHILDREN, (n_a + n_b + 1) // 2)
+        idx, flagged = _bounded_draws(draws[:, n_a : n_a + n_b], n_b)
+        assert not flagged.any()
+        for row, child in enumerate(self.CHILDREN):
+            rng = np.random.default_rng(child)
+            rng.integers(0, 2**20, n_a)
+            assert idx[row].tolist() == rng.integers(0, n_b, n_b).tolist()
+
+
+def sample(draw, statistic, size):
+    if statistic in (BootstrapStatistic.PROPORTION, BootstrapStatistic.PROP_DIFF):
+        return draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=size, max_size=size))
+    values = draw(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(values) - 1), min_size=size, max_size=size))
+    return [values[i] for i in picks]
+
+
+@st.composite
+def bootstrap_cases(draw):
+    statistic = draw(st.sampled_from(list(BootstrapStatistic)))
+    spec = BootstrapSpec(
+        replicates=draw(st.integers(1, 300)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        ci_method=draw(st.sampled_from(list(CiMethod))),
+    )
+    data = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = sample(draw, statistic, draw(st.integers(2, 600)))
+        if statistic in (BootstrapStatistic.MEAN_DIFF, BootstrapStatistic.PROP_DIFF):
+            data.append((a, sample(draw, statistic, draw(st.integers(2, 600)))))
+        else:
+            data.append(a)
+    return statistic, spec, data
+
+
+class TestBlockKernelEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(bootstrap_cases())
+    def test_matches_per_replicate_loop(self, case):
+        statistic, spec, data = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            batch = bootstrap_samples(data, statistic, spec)
+            single = bootstrap_statistic(data[0], statistic, spec)
+        assert single == batch[0]
+        for d, got in zip(data, batch):
+            assert got == reference_bootstrap(d, statistic, spec)
+
+    def test_rejected_draws_fall_back_to_numpy(self):
+        rng = np.random.default_rng(70_001)
+        a, b = rng.uniform(0, 100, 100_000), rng.uniform(0, 100, 70_001)
+        spec = BootstrapSpec(replicates=8, seed=5, ci_method=CiMethod.PERCENTILE)
+        children = np.random.SeedSequence(spec.seed).spawn(spec.replicates)
+        draws = _uint32_streams(children, (a.size + b.size + 1) // 2)
+        hit = _bounded_draws(draws[:, : a.size], a.size)[1]
+        hit |= _bounded_draws(draws[:, a.size : a.size + b.size], b.size)[1]
+        assert 0 < hit.sum() < spec.replicates
+        got = bootstrap_statistic((a, b), BootstrapStatistic.MEAN_DIFF, spec)
+        assert got == reference_bootstrap((a, b), BootstrapStatistic.MEAN_DIFF, spec)
+
+    def test_empty_batch(self):
+        assert bootstrap_samples([], BootstrapStatistic.MEAN, BootstrapSpec(10, 0)) == []
 
 
 class TestBootstrapAccuracy:
