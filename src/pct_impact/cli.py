@@ -10,6 +10,7 @@ variable replaces only the built-in seed default. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -578,5 +579,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
 
 
+def console_main() -> None:
+    """The process entry point of ``pct-impact`` and ``python -m
+    pct_impact.cli``: main(), then exit without the interpreter's final
+    garbage collection, which would walk every object the run left behind.
+    main() itself changes nothing process-wide."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

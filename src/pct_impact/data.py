@@ -10,10 +10,19 @@ fraction exceeds a configurable threshold.
 A Dataset stores its papers as columns, one entry per paper in input
 order: ids, institution labels, years, category tuples, citation counts
 (int64) and supplied inverted percentiles (float64, NaN where absent).
-parse_records fills the columns straight from the CSV rows. The record
-rules live in one function, _check_record, which the parser applies to
-every row and PublicationRecord applies on construction. Reference sets
-and institution samples are index arrays over the columns
+parse_records reads plain CSV text column by column (_parse_columns):
+text with no quote, NUL or lone carriage return, no blank line, the
+header's field count on every line and no field over the csv module's
+size limit. Each distinct cell of a column is converted once and the
+record rules are checked over whole columns; only a row that breaks a
+rule goes through the row loop, for its reject reason, and rows that
+share an id are merged or rejected as the row loop does. Any other text
+goes through csv.reader and the row loop (_parse_rows), which reports
+each reject with its line number and merges repeated ids; both paths give
+the same result. The record rules live in one function, _check_record,
+which the row loop applies to every row and PublicationRecord applies on
+construction. Reference sets and institution samples are index arrays
+over the columns
 (Dataset.set_membership, Dataset.institution_rows);
 PublicationRecord objects are built only when a library caller asks for
 Dataset.records, group_reference_sets or institution_samples.
@@ -26,12 +35,14 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Optional, Sequence, Union
+from itertools import compress
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     ConfigurationError,
+    DataError,
     EmptyDatasetError,
     RejectThresholdError,
     UnknownInstitutionError,
@@ -279,15 +290,19 @@ class RejectedRow:
     reason: str
 
 
-def _coerce_stream(source: Union[IO[bytes], IO[str], bytes, str]) -> Iterable[str]:
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8-sig"))
-    if isinstance(source, str):
-        return io.StringIO(source.lstrip("\ufeff"))
-    data = source.read()
+def _read_text(source: Union[IO[bytes], IO[str], bytes, str]) -> str:
+    """The whole input as text, bytes decoded as UTF-8, without leading
+    byte-order marks."""
+    data = source if isinstance(source, (bytes, str)) else source.read()
     if isinstance(data, bytes):
-        return io.StringIO(data.decode("utf-8-sig"))
-    return io.StringIO(data.lstrip("\ufeff"))
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise DataError(
+                f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+            ) from None
+    return data.lstrip("\ufeff")
 
 
 def _categories(cell: str) -> tuple[str, ...]:
@@ -298,31 +313,255 @@ def _categories(cell: str) -> tuple[str, ...]:
     return tuple(dict.fromkeys(c for c in map(str.strip, cell.split("|")) if c))
 
 
+def _header_columns(header: Sequence[str]) -> tuple[list[int], Optional[int], int]:
+    """The required columns' positions, the inv_percentile position and the
+    number of fields a row must have to reach them all."""
+    column = {name.strip(): i for i, name in enumerate(header)}
+    missing = [c for c in REQUIRED_COLUMNS if c not in column]
+    if missing:
+        raise ConfigurationError(f"missing required column(s): {', '.join(missing)}")
+    width = max(column.values()) + 1
+    return [column[c] for c in REQUIRED_COLUMNS], column.get("inv_percentile"), width
+
+
 def parse_records(
     source: Union[IO[bytes], IO[str], bytes, str],
     config: IngestionConfig = IngestionConfig(),
 ) -> tuple[Dataset, list[RejectedRow]]:
     """Parse the CSV contract into a Dataset plus a rejects report.
 
-    Raises ConfigurationError when a required column is missing and
+    Raises ConfigurationError when a required column is missing,
     RejectThresholdError when more than config.reject_threshold of the
-    data rows fail validation. Individual bad rows never abort the run
-    below that threshold; they are returned with line numbers and reasons.
-    Blank lines are not rows. Missing trailing fields read as empty, extra
-    ones are ignored, and of two header columns with one name the last is
-    read.
+    data rows fail validation, and DataError when the input is not UTF-8
+    or not CSV the csv module can read. Individual bad rows never abort
+    the run below that threshold; they are returned with line numbers and
+    reasons. Blank lines are not rows. Missing trailing fields read as
+    empty, extra ones are ignored, and of two header columns with one name
+    the last is read.
     """
-    reader = csv.reader(_coerce_stream(source))
-    header = next(reader, None)
+    text = _read_text(source)
+    parsed = _parse_columns(text, config)
+    return _parse_rows(text, config) if parsed is None else parsed
+
+
+def _plain_fields(text: str) -> Optional[tuple[list[str], list[str]]]:
+    """The header's fields and the body's fields of plain CSV text, or None.
+
+    Plain text has no quote, NUL or lone carriage return, no blank line and
+    no header longer than csv.field_size_limit(), and each of its lines has
+    the header's field count; csv.reader reads such text as the same fields.
+    A "\\n" field closes every body line but the last, so with width fields
+    per line and step = width + 1, line k of the body is
+    fields[k * step:k * step + width] and column j is fields[j::step].
+    """
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    header, _, body = text.partition("\n")
+    if body.endswith("\n"):
+        body = body[:-1]
+    if not body or len(header) > csv.field_size_limit():
+        return None
+    names = header.split(",")
+    step = len(names) + 1
+    fields = body.replace("\n", ",\n,").split(",")
+    n = (len(fields) + 1) // step
+    if (
+        len(fields) != n * step - 1
+        or body.count("\n") != n - 1
+        or fields[step - 1::step].count("\n") != n - 1
+    ):
+        return None
+    return names, fields
+
+
+def _converted(
+    cells: list[str], convert: Callable[[str], object]
+) -> tuple[tuple, Iterable, set]:
+    """Each cell converted; also the results and the distinct cells that the
+    rule and size checks must see.
+
+    convert runs once per distinct cell, through a table from cell to
+    result, unless most cells are distinct (a column of distinct citation
+    counts): then the table would cost more than it saves, and convert
+    runs once per cell.
+    """
+    distinct = set(cells)
+    if 2 * len(distinct) > len(cells):
+        values = tuple(map(convert, cells))
+        return values, values, distinct
+    table = {cell: convert(cell) for cell in distinct}
+    return tuple(map(table.__getitem__, cells)), table.values(), distinct
+
+
+_BAD = object()  # the result of a cell that its column's conversion rejects
+
+
+def _or_bad(convert: Callable[[str], object]) -> Callable[[str], object]:
+    """convert, with _BAD for a cell it rejects."""
+    def converted(cell: str) -> object:
+        try:
+            return convert(cell)
+        except ValueError:
+            return _BAD
+    return converted
+
+
+def _stripped_int(cell: str) -> int:
+    return int(cell.strip())
+
+
+def _stripped_float(cell: str) -> Optional[float]:
+    cell = cell.strip()
+    return float(cell) if cell else None
+
+
+_VALID_RECORD = ("p", "i", ("c",), 0, None)  # _check_record's arguments
+
+
+def _breaks_rule(argument: int, value: object) -> bool:
+    """Whether a record that is valid but for value, _check_record's
+    argument number `argument`, breaks a record rule."""
+    record = list(_VALID_RECORD)
+    record[argument] = value
+    try:
+        _check_record(*record)
+    except ValueError:
+        return True
+    return False
+
+
+def _parse_columns(
+    text: str, config: IngestionConfig
+) -> Optional[tuple[Dataset, list[RejectedRow]]]:
+    """parse_records over plain text, column by column; None for text that
+    is not plain (_plain_fields) or has a field longer than
+    csv.field_size_limit(), which the row loop parses instead.
+
+    Each distinct cell of a converted column is converted once, and each
+    column is checked against whole-column forms of _check_record's rules.
+    Only a column that fails its check is looked at cell by cell: a row
+    with a cell that fails its conversion or a rule goes through the row
+    loop alone for its reject. Rows that share an id are merged or
+    rejected as in the row loop. A header without a required column
+    raises the row loop's ConfigurationError.
+    """
+    names, fields = _plain_fields(text) or (None, None)
+    if fields is None:
+        return None
+    required, i_pct, _ = _header_columns(names)
+    i_id, i_inst, i_year, i_cat, i_cit = required
+    width, step = len(names), len(names) + 1
+    n = (len(fields) + 1) // step
+    # column: conversion, its _check_record argument, the argument's rules
+    # over the column's results
+    specs = {
+        i_id: (str.strip, 0, lambda ids: "" not in ids),
+        i_inst: (str.strip, 1, lambda insts: "" not in insts),
+        i_year: (_stripped_int, None, lambda years: True),
+        # _categories drops empty and repeated names
+        i_cat: (_categories, 2, lambda cats: () not in cats),
+        i_cit: (_stripped_int, 3, lambda cits: 0 <= min(cits) and max(cits) <= _MAX_CITATIONS),
+    }
+    if i_pct is not None:
+        specs[i_pct] = (_stripped_float, 4,
+                        lambda pcts: all(p is None or 0.0 <= p <= 100.0 for p in pcts))
+    raw_ids = fields[i_id::step]
+    ids = tuple(map(str.strip, raw_ids))
+    columns = {i_id: (ids, ids, raw_ids)}  # no table: ids are mostly distinct
+    unconverted = set()  # columns with a cell that fails its conversion
+    for k, (convert, _, _) in specs.items():
+        if k in columns:
+            continue
+        try:
+            columns[k] = _converted(fields[k::step], convert)
+        except ValueError:
+            columns[k] = _converted(fields[k::step], _or_bad(convert))
+            unconverted.add(k)
+    # the distinct cells of converted columns, every cell of the others
+    cells = [distinct for _, _, distinct in columns.values()]
+    cells += [fields[k::step] for k in range(width) if k not in columns]
+    if max(max(map(len, column)) for column in cells) > csv.field_size_limit():
+        return None
+
+    bad: set[int] = set()  # rows with a cell that fails its conversion or a rule
+    for k, (_, argument, valid) in specs.items():
+        values, results, _ = columns[k]
+        if k in unconverted or not valid(results):
+            failing = {r for r in set(results)
+                       if r is _BAD or argument is not None and _breaks_rule(argument, r)}
+            bad.update(i for i, value in enumerate(values) if value in failing)
+    rejects: dict[int, RejectedRow] = {}
+    for i in bad:
+        row = fields[i * step:i * step + width]
+        rejects[i] = _row_loop(names, [row], lambda: i + 2)[1][0]
+    del fields, cells
+
+    insts, years, cats, cits = (columns[k][0] for k in required[1:])
+    pcts = columns[i_pct][0] if i_pct is not None else (None,) * n
+    dropped = set(rejects)  # rows that are no record of their own
+    if len(set(ids)) != n:
+        keys = ids  # each row's id, and for a rejected row a key of its own
+        if rejects:
+            keys = list(ids)
+            for i in rejects:
+                keys[i] = (i,)
+        first = dict(zip(reversed(keys), reversed(range(n))))  # an id's first row
+        later = np.ones(n, dtype=bool)
+        later[list(first.values())] = False
+        cats = list(cats)
+        for i in np.flatnonzero(later).tolist():
+            k = first[keys[i]]
+            dropped.add(i)
+            if (insts[k], years[k], cits[k], pcts[k]) != (insts[i], years[i], cits[i], pcts[i]):
+                reason = f"conflicts with earlier row for id {ids[i]!r}"
+                rejects[i] = RejectedRow(row=i + 2, reason=reason)
+            else:
+                cats[k] = tuple(dict.fromkeys(cats[k] + cats[i]))
+    records: Sequence[Sequence] = (ids, insts, years, cats, cits, pcts)
+    if dropped:
+        keep = bytearray(b"\1") * n
+        for i in dropped:
+            keep[i] = 0
+        records = [list(compress(column, keep)) for column in records]
+    return _dataset(records, [rejects[i] for i in sorted(rejects)], n, config)
+
+
+def _checked_rows(reader) -> Iterator[list[str]]:
+    """reader's rows; a csv.Error becomes a DataError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
+
+
+def _parse_rows(
+    text: str, config: IngestionConfig = IngestionConfig()
+) -> tuple[Dataset, list[RejectedRow]]:
+    """parse_records through csv.reader, one row at a time: the parse of
+    every text that is not plain, and the reference for the column pass."""
+    reader = csv.reader(io.StringIO(text))
+    rows = _checked_rows(reader)
+    header = next(rows, None)
     if header is None:
         raise ConfigurationError("input is empty; expected a CSV header")
-    column = {name.strip(): i for i, name in enumerate(header)}
-    missing = [c for c in REQUIRED_COLUMNS if c not in column]
-    if missing:
-        raise ConfigurationError(f"missing required column(s): {', '.join(missing)}")
-    i_id, i_inst, i_year, i_cat, i_cit = (column[c] for c in REQUIRED_COLUMNS)
-    i_pct = column.get("inv_percentile")
-    width = max(column.values()) + 1
+    records, rejects, n_rows = _row_loop(header, rows, lambda: reader.line_num)
+    return _dataset(records, rejects, n_rows, config)
+
+
+def _row_loop(
+    header: Sequence[str], rows: Iterable[list[str]], line: Callable[[], int]
+) -> tuple[Sequence[list], list[RejectedRow], int]:
+    """The records and rejects of rows read one at a time, and the number
+    of rows that are not blank; line() is the line of the row last read.
+
+    A row whose id an earlier record has adds its categories to that
+    record when its other fields are the same, and is rejected otherwise.
+    """
+    (i_id, i_inst, i_year, i_cat, i_cit), i_pct, width = _header_columns(header)
 
     ids: list[str] = []
     insts: list[str] = []
@@ -334,7 +573,7 @@ def parse_records(
     rejects: list[RejectedRow] = []
     n_rows = 0
 
-    for row in reader:
+    for row in rows:
         if not row:
             continue
         n_rows += 1
@@ -352,7 +591,7 @@ def parse_records(
             pct = float(pct_raw) if pct_raw else None
             _check_record(pid, inst, categories, citations, pct)
         except ValueError as exc:
-            rejects.append(RejectedRow(row=reader.line_num, reason=str(exc)))
+            rejects.append(RejectedRow(row=line(), reason=str(exc)))
             continue
 
         k = row_of.get(pid)
@@ -366,10 +605,20 @@ def parse_records(
             pcts.append(pct)
         elif (insts[k], years[k], cits[k], pcts[k]) != (inst, year, citations, pct):
             reason = f"conflicts with earlier row for id {pid!r}"
-            rejects.append(RejectedRow(row=reader.line_num, reason=reason))
+            rejects.append(RejectedRow(row=line(), reason=reason))
         else:
             cats[k] = tuple(dict.fromkeys(cats[k] + categories))
 
+    return (ids, insts, years, cats, cits, pcts), rejects, n_rows
+
+
+def _dataset(
+    records: Sequence[Sequence], rejects: list[RejectedRow], n_rows: int,
+    config: IngestionConfig,
+) -> tuple[Dataset, list[RejectedRow]]:
+    """The Dataset of the records' ids, institutions, years, categories,
+    citations and percentiles, with the rejects of n_rows data rows.
+    Raises EmptyDatasetError or RejectThresholdError as parse_records."""
     if n_rows == 0:
         raise EmptyDatasetError("input contains a header but no data rows")
     if len(rejects) / n_rows > config.reject_threshold:
@@ -377,16 +626,20 @@ def parse_records(
             f"{len(rejects)} of {n_rows} rows rejected, above the "
             f"{config.reject_threshold:.0%} threshold"
         )
-    if not ids:
+    ids, insts, years, cats, cits, pcts = records
+    n = len(ids)
+    if n == 0:
         raise EmptyDatasetError("no valid records after rejecting malformed rows")
-
     dataset = Dataset(
         ids=tuple(ids),
         institution_labels=tuple(insts),
         years=tuple(years),
         categories=tuple(cats),
-        citations=np.array(cits, dtype=np.int64),
-        inv_percentiles=np.array(pcts, dtype=float),
+        citations=np.fromiter(cits, np.int64, n),
+        # np.array reads None as NaN, but slowly
+        inv_percentiles=(
+            np.full(n, np.nan) if pcts.count(None) == n else np.array(pcts, dtype=float)
+        ),
     )
     return dataset, rejects
 

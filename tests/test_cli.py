@@ -1,10 +1,16 @@
 """End-to-end command line behavior: outputs, precedence, exit codes."""
 
+import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pct_impact
 from pct_impact.cli import main
 
 HEADER = "id,institution,pub_year,category,citations,inv_percentile\n"
@@ -405,6 +411,34 @@ class TestErrorPaths:
         assert run("topshare", "--input", inst_csv, "--top-x", "0",
                    "--out-dir", tmp_path) == 2
 
+    def test_field_over_csv_limit_is_data_error(self, tmp_path, capsys):
+        long = tmp_path / "long.csv"
+        long.write_text(
+            HEADER + "p1,i,2001,A,5,\n"
+            + "p2,i,2001," + "A" * (csv.field_size_limit() + 1) + ",5,\n",
+            encoding="utf-8",
+        )
+        assert run("summary", "--input", long, "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"data error: line 3: field larger than field limit ({csv.field_size_limit()})\n"
+        )
+
+    def test_lone_carriage_return_is_data_error(self, tmp_path, capsys):
+        cr = tmp_path / "cr.csv"
+        cr.write_bytes((HEADER + "p1,i,2001,A,5,\n" + "p2,i,2001,A\rB,5,\n").encode())
+        assert run("summary", "--input", cr, "--out-dir", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 3: new-line character seen in unquoted field")
+        assert len(err.splitlines()) == 1
+
+    def test_bytes_not_utf8_is_data_error(self, tmp_path, capsys):
+        latin = tmp_path / "latin1.csv"
+        latin.write_bytes(HEADER.encode() + b"p1,i,2001,A,5,\n" + b"p2,\xe9cole,2001,A,5,\n")
+        assert run("summary", "--input", latin, "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "data error: line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
+        )
+
     def test_rejects_written(self, tmp_path, capsys):
         messy = tmp_path / "messy.csv"
         messy.write_text(
@@ -432,3 +466,31 @@ class TestErrorPaths:
         assert code == 0
         lines = (out / "percentiles.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 surviving rows
+
+
+@pytest.mark.parametrize("command", [
+    ("summary", "inst_csv", "--format", "tsv,json,svg"),
+    ("percentiles", "tie_csv"),
+])
+def test_fresh_process_matches_in_process(command, request, tmp_path, capsys):
+    """python -m pct_impact.cli exits, prints and writes what main() does:
+    every output file is complete before the process entry point exits."""
+    name, fixture, *flags = command
+    out = tmp_path / "out"
+    argv = [name, "--input", str(request.getfixturevalue(fixture)), "--out-dir", str(out),
+            *flags]
+
+    def outputs():
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        for p in out.iterdir():
+            p.unlink()
+        return files
+
+    code = main(argv)
+    captured = capsys.readouterr()
+    in_process = (code, captured.out.encode(), captured.err.encode(), outputs())
+    env = dict(os.environ, PYTHONPATH=str(Path(pct_impact.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "pct_impact.cli", *argv],
+                          env=env, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr, outputs()) == in_process
+    assert in_process[0] == 0 and in_process[3]

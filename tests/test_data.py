@@ -1,7 +1,9 @@
 """CSV ingestion, reference-set grouping and institution selection."""
 
 import io
+import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,9 @@ from pct_impact.data import (
     IngestionConfig,
     PublicationRecord,
     RejectedRow,
+    _parse_columns,
+    _parse_rows,
+    _plain_fields,
     filter_years,
     group_reference_sets,
     institution_samples,
@@ -171,9 +176,30 @@ class TestParse:
             assert len(ds.records) == 1
 
     def test_bom_and_padded_header(self):
-        text = "﻿id, institution ,pub_year,category,citations\np1,i,2001,A,2\n"
+        text = "\ufeffid, institution ,pub_year,category,citations\np1,i,2001,A,2\n"
         ds, rejects = parse_records(text.encode("utf-8"))
         assert not rejects and ds.records[0].institution == "i"
+
+    def test_supplied_and_absent_percentiles(self):
+        text = HEADER + "p1,i,2001,A,2,12.5\np2,i,2001,A,3,\n"
+        for parse in (parse_records, _parse_rows):  # column pass, row loop
+            ds, _ = parse(text)
+            assert ds.inv_percentiles.tolist()[0] == 12.5
+            assert math.isnan(ds.inv_percentiles[1])
+
+    def test_leading_marks_read_alike_from_text_and_bytes(self):
+        text = "\ufeff\ufeffid,institution,pub_year,category,citations\np1,i,2001,A,2\n"
+        assert parse_records(text.encode("utf-8"))[0] == parse_records(text)[0]
+
+    def test_plain_text_takes_the_column_pass(self):
+        demo = Path(__file__).parents[1] / "demos" / "data" / "institutions.csv"
+        text = demo.read_text(encoding="utf-8")
+        merged, conflict, empty = "p0,1,2002,X,0,97.2984\n", "p0,1,2002,X,1,\n", "q,,2002,X,0,\n"
+        for plain in (text, text.replace("\n", "\r\n"), text.rstrip("\n"),
+                      text + merged, text + conflict, text + empty):
+            assert _parse_columns(plain, IngestionConfig()) == _parse_rows(plain)
+        for not_plain in (text + "\n", text.replace(",", '",', 1), text + "q,1,2002,X,0,,\n"):
+            assert _plain_fields(not_plain) is None
 
     def test_paper_sized_file(self):
         sizes = {"1": 268, "2": 549, "3": 488}

@@ -1,20 +1,25 @@
-"""Property-based invariants for the statistical core."""
+"""Property-based invariants for the statistical core and CSV ingestion."""
 
+import csv
 import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from pct_impact import cli
 from pct_impact.data import (
     Dataset,
+    IngestionConfig,
     InstitutionSample,
     PublicationRecord,
     ReferenceSet,
+    _parse_rows,
+    _plain_fields,
     group_reference_sets,
+    parse_records,
 )
 
 from pct_impact.effects import (
@@ -25,6 +30,7 @@ from pct_impact.effects import (
     two_sample_pooled_t,
     two_sample_prop_z,
 )
+from pct_impact.errors import CitationImpactError
 from pct_impact.percentiles import (
     PercentileAssignment,
     PercentileFormula,
@@ -244,3 +250,180 @@ def test_cli_builds_no_per_record_objects(tmp_path, constructed):
     ):
         assert cli.main(argv + common) == 0
     assert constructed == Counter()
+
+
+# Cells a valid row may hold, per column ("id" cells of an ignored duplicate
+# id column only), and the faults one cell may carry instead.
+VALID_CELLS = {
+    "id": ["q", "p0", ""],
+    "institution": ["A", "B", " A ", "\u00e9cole"],
+    "pub_year": ["2001", "2002", " 2002", "2_001"],
+    "category": ["C", "D", "C|D", " C |D", "A|A"],
+    "citations": ["0", "3", " 7", str(2**63 - 1)],
+    "inv_percentile": ["10", "", "50.5", "-0", "100", " 12 ", "1e1"],
+    "note": ["", "x", "a b", "\u2028", "\x85", "\x0c"],
+}
+FAULT_CELLS = {
+    "id": ["", " ", "p0", '"p1"', " p0"],
+    "institution": ["", '"A"', '"A,B"', "\x00"],
+    "pub_year": ["x", "", "1.5", "\u0662\u0660"],
+    "category": ["", " | ", "|", '"C\nD"', '"C""D"'],
+    "citations": ["-1", "x", "", str(2**63), "1.0", "9" * 5000],
+    "inv_percentile": ["nan", "NaN", " nan ", "inf", "-inf", "100.01", "-1", "abc", '"5"'],
+    "note": ['"', "a\rb", "a\r", '"a\r\nb"'],
+}
+TEXT_FAULTS = [
+    "cell", "cell", "cell", "quoted", "lone_cr", "merge", "conflict",  # within cells
+    "short_row", "long_row", "moved_field", "split_row",  # row shape
+    "blank_line", "cr_line_end", "crlf", "no_final_newline", "extra_newline",  # lines
+    "bom", "padded_header", "duplicate_header", "field_at_limit", "field_over_limit",
+]
+# the faults that can leave a text plain: what the column pass reads
+PLAIN_FAULTS = [
+    "cell", "cell", "cell", "merge", "conflict", "crlf", "no_final_newline",
+    "bom", "padded_header", "duplicate_header", "field_at_limit", "field_over_limit",
+]
+LIMIT = csv.field_size_limit()
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text in the input contract: a plain, valid file, or one with
+    up to three faults of TEXT_FAULTS (a fault may leave it plain and valid);
+    or up to four faults of PLAIN_FAULTS, with no cell fault that makes the
+    text not plain."""
+    plain = draw(st.booleans())
+    faults = draw(st.lists(st.sampled_from(PLAIN_FAULTS if plain else TEXT_FAULTS),
+                           max_size=4 if plain else 3))
+    names = ["id", "institution", "pub_year", "category", "citations"]
+    if draw(st.booleans()):
+        names.append("inv_percentile")
+    if draw(st.booleans()):
+        names.insert(draw(st.integers(0, len(names))), "note")
+    if "duplicate_header" in faults:
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
+    read = {name: i for i, name in enumerate(names)}  # the last column of a name
+    rows = []
+    for k in range(draw(st.integers(1 if plain else 0, 8 if plain else 5))):
+        row = [draw(st.sampled_from(VALID_CELLS[name])) for name in names]
+        row[read["id"]] = f"p{k}"
+        rows.append(row)
+    if rows:
+        pick_row = st.integers(0, len(rows) - 1)
+        for fault in faults:  # faults within cells, then faults of row shape
+            r, c = draw(pick_row), draw(st.integers(0, len(names) - 1))
+            if fault == "cell":
+                cells = FAULT_CELLS[names[c]]
+                if plain:
+                    cells = [cell for cell in cells if not set('"\r\n\0') & set(cell)]
+                rows[r][c] = draw(st.sampled_from(cells or VALID_CELLS[names[c]]))
+            elif fault == "quoted":
+                rows[r][c] = f'"{rows[r][c]}"'
+            elif fault == "lone_cr":
+                rows[r][c] += draw(st.sampled_from(["\r", "\rx"]))
+            elif fault in ("merge", "conflict"):
+                copy = list(rows[r])
+                changed = "category" if fault == "merge" else draw(st.sampled_from(
+                    [name for name in names if name not in ("id", "category", "note")]))
+                copy[read[changed]] = draw(st.sampled_from(VALID_CELLS[changed]))
+                rows.insert(draw(st.integers(r + 1, len(rows))), copy)
+        for fault in faults:
+            r, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(names) - 1))
+            if fault == "short_row":
+                rows[r] = rows[r][:c]
+            elif fault == "long_row":
+                rows[r] = rows[r] + ["extra"]
+            elif fault == "moved_field" and r + 1 < len(rows):
+                rows[r + 1] = rows[r][-1:] + rows[r + 1]
+                rows[r] = rows[r][:-1]
+            elif fault == "split_row":  # a line break in place of one field
+                rows[r:r + 1] = [rows[r][:c], rows[r][c + 1:]]
+    for fault in faults:
+        if fault in ("field_at_limit", "field_over_limit"):
+            line = draw(st.sampled_from([names, *rows]))  # the header too
+            k = draw(st.integers(0, len(line) - 1))
+            line[k] = "x" * (LIMIT if fault == "field_at_limit" else LIMIT + 1)
+    if "padded_header" in faults:
+        k = draw(st.integers(0, len(names) - 1))
+        names[k] = f" {names[k]}  "
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    if "blank_line" in faults:
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    ends = ["\r\n" if "crlf" in faults else "\n"] * len(lines)
+    if "cr_line_end" in faults:
+        ends[draw(st.integers(0, len(ends) - 1))] = "\r"
+    if "no_final_newline" in faults:
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if "extra_newline" in faults:
+        text += "\n"
+    return ("\ufeff" if "bom" in faults else "") + text
+
+
+def _parsed(parse, source, config):
+    try:
+        dataset, rejects = parse(source, config)
+    except CitationImpactError as exc:
+        return type(exc), str(exc)
+    return (
+        dataset.ids, dataset.institution_labels, dataset.years, dataset.categories,
+        dataset.citations.dtype, dataset.citations.tolist(),
+        dataset.inv_percentiles.dtype, dataset.inv_percentiles.tobytes(), rejects,
+    )
+
+
+# plain texts whose faults a column pass could miss: a literal nan
+# percentile, a field over the csv limit in a row or in the header, a field
+# moved to the next line, a line break in place of a field, an empty id, and
+# repeated ids merged and in conflict before rows that break a rule
+_NAN_PERCENTILE = (
+    "id,institution,pub_year,category,citations,inv_percentile\n"
+    "p0,A,2001,C,3,nan\np1,A,2001,C,0,10\n"
+)
+_LONG_FIELD = (
+    "id,institution,pub_year,category,citations\n"
+    "p0," + "x" * (LIMIT + 1) + ",2001,C,3\n"
+)
+_LONG_HEADER = (
+    "id,institution,pub_year,category,citations," + "x" * (LIMIT + 1) + "\n"
+    "p0,A,2001,C,3,y\n"
+)
+_MOVED_FIELD = (
+    "id,institution,pub_year,category,citations,note\n"
+    "p0,A,2001,C,3\nx,p1,A,2001,C,3,y\n"
+)
+_SPLIT_ROW = (
+    "id,note,institution,pub_year,category,citations\n"
+    "p0,x,A,2001,C,3\np1\nA,2001,C,3\n"
+)
+_EMPTY_ID = (
+    "id,institution,pub_year,category,citations\n"
+    "p0,A,2001,C,3\n ,A,2001,C,3\n"
+)
+_REPEATED_IDS = (
+    "id,institution,pub_year,category,citations,inv_percentile\n"
+    "p0,A,2001,C,3,10\np1,A,2001,C,3,\np0,A,2001,D,3,10\np0,A,2001,C,3,11\n"
+    "p1,,2001,C,3,\np2,A,2001,C,-1,\np3,A,2001,C,3,-1\n"
+)
+
+
+@given(csv_texts(), st.sampled_from([0.1, 1.0]))
+@example(_NAN_PERCENTILE, 0.1)
+@example(_NAN_PERCENTILE, 1.0)
+@example(_LONG_FIELD, 1.0)
+@example(_LONG_HEADER, 1.0)
+@example(_MOVED_FIELD, 1.0)
+@example(_SPLIT_ROW, 1.0)
+@example(_EMPTY_ID, 1.0)
+@example(_REPEATED_IDS, 1.0)
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_row_loop(text, threshold):
+    """The column pass and the row loop give the same dataset, NaN positions
+    and rejects included, or the same error."""
+    config = IngestionConfig(reject_threshold=threshold)
+    want = _parsed(_parse_rows, text.removeprefix("\ufeff"), config)
+    assert _parsed(parse_records, text, config) == want
+    assert _parsed(parse_records, text.encode("utf-8"), config) == want
+    plain = _plain_fields(text.removeprefix("\ufeff")) is not None
+    outcome = want[0].__name__ if len(want) == 2 else f"rejects: {bool(want[-1])}"
+    event(f"plain: {plain}, {outcome}")
