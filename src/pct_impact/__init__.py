@@ -10,15 +10,12 @@ t and z tests, plus bootstrap and Mann-Whitney robustness checks.
 from .data import (
     Dataset,
     IngestionConfig,
-    InstitutionSample,
     PublicationRecord,
-    ReferenceSet,
     ReferenceSetKey,
     RejectedRow,
     SetMembership,
     filter_years,
     group_reference_sets,
-    institution_samples,
     parse_records,
     select_institution_sample,
     serialize_dataset,

@@ -313,6 +313,16 @@ def _top_counts(cfg: AnalysisConfig, dataset: Dataset) -> dict[str, tuple[float,
     return {label: (math.fsum(v), len(v)) for label, v in weights.items()}
 
 
+def _needs_quotes(text: str) -> bool:
+    return any(c in text for c in ',"\r\n')
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes a field: quoted, with each quote doubled,
+    when it holds a comma, a quote or a line break."""
+    return '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
+
+
 def _write_text(cfg: AnalysisConfig, name: str, text: str) -> Path:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -356,9 +366,12 @@ def cmd_percentiles(cfg: AnalysisConfig) -> int:
     ):
         print(f"reference set {label}: {size} papers, {ties} tie group(s)", file=sys.stderr)
     lines = ["paper_id,reference_set,rank,percentile,tie_group_size,top_x_weight\n"]
-    labels = best.set_labels
+    labels = tuple(map(_csv_field, best.set_labels))
+    ids = dataset.ids
+    if _needs_quotes("".join(ids)):  # one scan of all ids costs less than one per id
+        ids = map(_csv_field, ids)
     for pid, j, rank, pct, tied, weight in zip(
-        dataset.ids, best.best_set.tolist(), best.rank.tolist(),
+        ids, best.best_set.tolist(), best.rank.tolist(),
         best.percentile.tolist(), best.tied_with.tolist(), best.top_x_weight.tolist(),
     ):
         lines.append(f"{pid},{labels[j]},{rank},{pct:.6g},{tied},{weight:.6g}\n")

@@ -1,4 +1,5 @@
-"""Publication records, reference sets and institution samples.
+"""Publication records as columns, and their grouping by reference set
+and by institution.
 
 Input is a UTF-8 CSV with header ``id,institution,pub_year,category,
 citations[,inv_percentile]``. A paper with several subject categories may
@@ -22,10 +23,10 @@ each reject with its line number and merges repeated ids; both paths give
 the same result. The record rules live in one function, _check_record,
 which the row loop applies to every row and PublicationRecord applies on
 construction. Reference sets and institution samples are index arrays
-over the columns
-(Dataset.set_membership, Dataset.institution_rows);
-PublicationRecord objects are built only when a library caller asks for
-Dataset.records, group_reference_sets or institution_samples.
+over the columns (Dataset.set_membership, Dataset.institution_rows;
+group_reference_sets and select_institution_sample return the same
+arrays). PublicationRecord objects are built only when a caller reads
+Dataset.records.
 """
 
 from __future__ import annotations
@@ -51,9 +52,7 @@ from .errors import (
 __all__ = [
     "PublicationRecord",
     "ReferenceSetKey",
-    "ReferenceSet",
     "SetMembership",
-    "InstitutionSample",
     "Dataset",
     "IngestionConfig",
     "RejectedRow",
@@ -62,7 +61,6 @@ __all__ = [
     "write_rejects_report",
     "filter_years",
     "group_reference_sets",
-    "institution_samples",
     "select_institution_sample",
 ]
 
@@ -123,35 +121,6 @@ class ReferenceSetKey:
 
     category: str
     pub_year: int
-
-
-@dataclass(frozen=True)
-class ReferenceSet:
-    """All papers sharing one subject category and publication year."""
-
-    key: ReferenceSetKey
-    members: tuple[PublicationRecord, ...]
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("reference set must be non-empty")
-        for m in self.members:
-            if self.key.category not in m.categories or m.pub_year != self.key.pub_year:
-                raise ValueError(f"record {m.id} does not belong to set {self.key}")
-
-
-@dataclass(frozen=True)
-class InstitutionSample:
-    institution: str
-    records: tuple[PublicationRecord, ...]
-
-    def __post_init__(self):
-        if not self.records:
-            raise ValueError("institution sample must be non-empty")
-
-    @property
-    def n(self) -> int:
-        return len(self.records)
 
 
 @dataclass(frozen=True)
@@ -644,10 +613,8 @@ def _dataset(
     return dataset, rejects
 
 
-def _format_pct(p: Optional[float]) -> str:
-    if p is None:
-        return ""
-    return format(p, ".10g")
+def _format_pct(p: float) -> str:
+    return "" if math.isnan(p) else format(p, ".10g")
 
 
 def serialize_dataset(dataset: Dataset) -> str:
@@ -656,17 +623,11 @@ def serialize_dataset(dataset: Dataset) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(REQUIRED_COLUMNS) + list(OPTIONAL_COLUMNS))
-    for r in dataset.records:
-        writer.writerow(
-            [
-                r.id,
-                r.institution,
-                r.pub_year,
-                "|".join(r.categories),
-                r.citations,
-                _format_pct(r.inv_percentile),
-            ]
-        )
+    writer.writerows(zip(
+        dataset.ids, dataset.institution_labels, dataset.years,
+        map("|".join, dataset.categories), dataset.citations.tolist(),
+        map(_format_pct, dataset.inv_percentiles.tolist()),
+    ))
     return out.getvalue()
 
 
@@ -686,40 +647,20 @@ def filter_years(dataset: Dataset, last_year: int) -> Dataset:
     return dataset._take(kept)
 
 
-def group_reference_sets(dataset: Dataset) -> list[ReferenceSet]:
-    """Group records into (category, year) reference sets.
+def group_reference_sets(dataset: Dataset) -> dict[ReferenceSetKey, np.ndarray]:
+    """Each (category, year) reference set's dataset rows, in dataset order.
 
-    A record with k categories becomes a full member of k sets. Sets come
-    back sorted by category then year so downstream output is stable;
-    Dataset.set_membership holds the same grouping as index arrays.
+    A paper with k categories is a full member of k sets. Keys come sorted
+    by category then year, as in Dataset.set_membership.
     """
     sets = dataset.set_membership
-    records = dataset.records
-    bounds = sets.bounds.tolist()
-    return [
-        ReferenceSet(key=key, members=tuple(records[i] for i in sets.rows[lo:hi].tolist()))
-        for key, lo, hi in zip(sets.keys, bounds, bounds[1:])
-    ]
+    return dict(zip(sets.keys, np.split(sets.rows, sets.bounds[1:-1].tolist())))
 
 
-def institution_samples(dataset: Dataset) -> dict[str, InstitutionSample]:
-    """Every institution's sample, keyed by sorted label.
-
-    Records keep their dataset order within each sample;
-    Dataset.institution_rows holds the same grouping as index arrays.
-    """
-    records = dataset.records
-    return {
-        label: InstitutionSample(
-            institution=label, records=tuple(records[i] for i in rows.tolist())
-        )
-        for label, rows in dataset.institution_rows.items()
-    }
-
-
-def select_institution_sample(dataset: Dataset, institution: str) -> InstitutionSample:
-    """All records of one institution; labels are case-sensitive."""
-    samples = institution_samples(dataset)
-    if institution not in samples:
-        raise UnknownInstitutionError(institution, list(samples))
-    return samples[institution]
+def select_institution_sample(dataset: Dataset, institution: str) -> np.ndarray:
+    """One institution's dataset rows, in dataset order, from
+    Dataset.institution_rows; labels are case-sensitive."""
+    rows = dataset.institution_rows
+    if institution not in rows:
+        raise UnknownInstitutionError(institution, list(rows))
+    return rows[institution]

@@ -406,14 +406,19 @@ def outlier_sensitivity(
         raise ValueError("outlier_sensitivity: need at least 2 papers")
     if reference_citations is None:
         reference_citations = citations
+    elif not reference_citations:
+        raise ValueError("outlier_sensitivity: empty reference_citations")
     if ref_means is None:
         mean_ref = math.fsum(reference_citations) / len(reference_citations)
         ref_means = [mean_ref] * n
     elif len(ref_means) != n:
         raise ValueError("outlier_sensitivity: ref_means length must match citations")
 
-    fts = fractional_top_share(reference_citations, x)
-    weights = [fts.weight_for(c) for c in citations]
+    threshold, _, _, w_tie = _top_x_split(sorted(reference_citations), x)
+    weights = [
+        Fraction(1) if c > threshold else (w_tie if c == threshold else Fraction(0))
+        for c in citations
+    ]
     return outlier_sensitivity_report(citations, ref_means, weights, x)
 
 

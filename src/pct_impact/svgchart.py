@@ -37,9 +37,8 @@ class CiSeries:
 class CiChartSpec:
     """Everything needed to draw one chart of estimates with error bars.
 
-    scale multiplies every value before plotting (100 turns proportions
-    into percentages); reference_line, when set, is drawn dashed across
-    the full plot width at the given data value (pre-scale).
+    reference_line, when set, is drawn dashed across the full plot width
+    at the given data value.
     """
 
     series: tuple[CiSeries, ...]
@@ -47,7 +46,6 @@ class CiChartSpec:
     y_label: str = ""
     x_label: str = ""
     reference_line: Optional[float] = None
-    scale: float = 1.0
 
 
 def _fmt(v: float) -> str:
@@ -74,9 +72,9 @@ def render_ci_chart(spec: CiChartSpec) -> str:
 
     values = []
     for s in spec.series:
-        values += [s.point * spec.scale, s.ci_low * spec.scale, s.ci_high * spec.scale]
+        values += [s.point, s.ci_low, s.ci_high]
     if spec.reference_line is not None:
-        values.append(spec.reference_line * spec.scale)
+        values.append(spec.reference_line)
     vmin, vmax = min(values), max(values)
     if vmin == vmax:
         vmin, vmax = vmin - 1.0, vmax + 1.0
@@ -127,7 +125,7 @@ def render_ci_chart(spec: CiChartSpec) -> str:
         tick += step
 
     if spec.reference_line is not None:
-        ry = ypix(spec.reference_line * spec.scale)
+        ry = ypix(spec.reference_line)
         parts.append(
             f'<line class="ref-line" x1="{x0}" y1="{_fmt(ry)}" x2="{x1}" y2="{_fmt(ry)}" '
             f'stroke="black" stroke-dasharray="6 4"/>'
@@ -136,8 +134,8 @@ def render_ci_chart(spec: CiChartSpec) -> str:
     cap = 7
     for i, s in enumerate(spec.series):
         x = xpix(i)
-        ylo, yhi = ypix(s.ci_low * spec.scale), ypix(s.ci_high * spec.scale)
-        yp = ypix(s.point * spec.scale)
+        ylo, yhi = ypix(s.ci_low), ypix(s.ci_high)
+        yp = ypix(s.point)
         parts.append(
             f'<line class="ci-bar" x1="{_fmt(x)}" y1="{_fmt(ylo)}" '
             f'x2="{_fmt(x)}" y2="{_fmt(yhi)}" stroke="black" stroke-width="1.5"/>'

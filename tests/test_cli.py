@@ -250,6 +250,22 @@ class TestPercentilesCommand:
         assert row_m.split(",")[1] == "COLD:2001"
         assert float(row_m.split(",")[3]) == 10.0  # rank 1 of 10, inverted InCites
 
+    def test_ids_and_categories_that_need_quoting(self, tmp_path):
+        csv_path = tmp_path / "quoted.csv"
+        csv_path.write_text(
+            "id,institution,pub_year,category,citations\n"
+            '"p,1",A,2001,"X,Y",3\n'
+            'p2,A,2001,"X,Y",1\n'
+            'p3,B,2001,"Q""Z",2\n',
+            encoding="utf-8",
+        )
+        assert run("percentiles", "--input", csv_path, "--out-dir", tmp_path) == 0
+        with open(tmp_path / "percentiles.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 6 for row in rows)
+        assert [row[0] for row in rows[1:]] == ["p,1", "p2", "p3"]
+        assert [row[1] for row in rows[1:]] == ["X,Y:2001", "X,Y:2001", 'Q"Z:2001']
+
 
 class TestRobustnessCommand:
     def test_reports_per_institution(self, tie_csv, tmp_path, capsys):

@@ -11,13 +11,13 @@ from pct_impact.data import (
     Dataset,
     IngestionConfig,
     PublicationRecord,
+    ReferenceSetKey,
     RejectedRow,
     _parse_columns,
     _parse_rows,
     _plain_fields,
     filter_years,
     group_reference_sets,
-    institution_samples,
     parse_records,
     select_institution_sample,
     serialize_dataset,
@@ -102,10 +102,11 @@ class TestParse:
 
     def test_repeated_category_counted_once(self):
         for rows in (["p1,i,2001,A|A,5,\n"], ["p1,i,2001,A,5,\n", "p1,i,2001,A,5,\n"]):
-            [rs] = group_reference_sets(_dataset(rows + ["p2,i,2001,A,3,\n"]))
-            assert [m.id for m in rs.members] == ["p1", "p2"]
+            ds = _dataset(rows + ["p2,i,2001,A,3,\n"])
+            [members] = group_reference_sets(ds).values()
+            assert [ds.ids[i] for i in members] == ["p1", "p2"]
         ds = _dataset(["p1,i,2001,A,5,\n", "p1,i,2001,B|B,5,\n"])
-        assert ds.records[0].categories == ("A", "B")
+        assert ds.categories[0] == ("A", "B")
 
     @pytest.mark.parametrize(
         "row, reason",
@@ -210,10 +211,10 @@ class TestParse:
                 rows.append(f"p{k},{inst},2001,A,{k % 7},\n")
                 k += 1
         ds = _dataset(rows)
-        assert len(ds.records) == 1305
+        assert len(ds) == 1305
         assert ds.institutions == frozenset(sizes)
         for inst, n in sizes.items():
-            assert select_institution_sample(ds, inst).n == n
+            assert len(select_institution_sample(ds, inst)) == n
 
     def test_dataset_invariants(self):
         ds = _dataset(["p1,x,2001,A,1,\n", "p2,y,2003,A,1,\n"])
@@ -279,15 +280,15 @@ class TestFilterYears:
 class TestGroupReferenceSets:
     def test_same_category_year(self):
         ds = _dataset(["a,i,2001,A,1,\n", "b,i,2001,A,2,\n", "c,i,2001,A,3,\n"])
-        [rs] = group_reference_sets(ds)
-        assert len(rs.members) == 3
-        assert rs.key.category == "A" and rs.key.pub_year == 2001
+        [(key, rows)] = group_reference_sets(ds).items()
+        assert rows.tolist() == [0, 1, 2]
+        assert key == ReferenceSetKey("A", 2001)
 
     def test_two_category_record_in_both_sets(self):
         ds = _dataset(["a,i,2001,A|B,1,\n"])
         sets = group_reference_sets(ds)
-        assert len(sets) == 2
-        assert all(len(rs.members) == 1 and rs.members[0].id == "a" for rs in sets)
+        assert list(sets) == [ReferenceSetKey("A", 2001), ReferenceSetKey("B", 2001)]
+        assert all(rows.tolist() == [0] for rows in sets.values()) and ds.ids == ("a",)
 
     def test_partition_matches_brute_force(self):
         rng = random.Random(99)
@@ -297,18 +298,24 @@ class TestGroupReferenceSets:
         ]
         ds = _dataset(rows)
         sets = group_reference_sets(ds)
-        # brute-force oracle: group by scanning each record independently
+        assert list(sets) == sorted(sets, key=lambda k: (k.category, k.pub_year))
+        # brute-force oracle: group by scanning each paper independently
         expected = {}
-        for r in ds.records:
-            expected.setdefault((r.categories[0], r.pub_year), []).append(r.id)
-        got = {(rs.key.category, rs.key.pub_year): [m.id for m in rs.members] for rs in sets}
+        for pid, year, cats in zip(ds.ids, ds.years, ds.categories):
+            expected.setdefault((cats[0], year), []).append(pid)
+        got = {(k.category, k.pub_year): [ds.ids[i] for i in rows] for k, rows in sets.items()}
         assert got == expected
-        # single-category records: each appears in exactly one set
+        # single-category papers: each appears in exactly one set
         counts = {}
         for ids in got.values():
             for rid in ids:
                 counts[rid] = counts.get(rid, 0) + 1
         assert all(c == 1 for c in counts.values())
+        # the same grouping as the membership arrays
+        membership = ds.set_membership
+        assert tuple(sets) == membership.keys
+        for j, rows in enumerate(sets.values()):
+            assert rows.tolist() == membership.rows[membership.set_ids == j].tolist()
 
 
 class TestSelectInstitution:
@@ -322,16 +329,18 @@ class TestSelectInstitution:
         ds = _dataset(["a,X,2001,A,1,\n"])
         with pytest.raises(UnknownInstitutionError):
             select_institution_sample(ds, "x")
-        assert select_institution_sample(ds, "X").n == 1
+        assert len(select_institution_sample(ds, "X")) == 1
 
     def test_one_pass_grouping_matches_scan(self):
         rng = random.Random(3)
         ds = _dataset([f"p{k},{rng.choice('cab')},2001,A,{k},\n" for k in range(60)])
-        samples = institution_samples(ds)
+        samples = ds.institution_rows
         assert list(samples) == ["a", "b", "c"]
-        for label, sample in samples.items():
-            assert sample.institution == label
-            assert sample.records == tuple(r for r in ds.records if r.institution == label)
+        for label, rows in samples.items():
+            assert select_institution_sample(ds, label) is rows
+            assert rows.tolist() == [
+                i for i, inst in enumerate(ds.institution_labels) if inst == label
+            ]
 
 
 class TestRecordInvariants:

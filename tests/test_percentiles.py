@@ -18,6 +18,7 @@ from pct_impact.percentiles import (
     fractional_top_share,
     mncs,
     outlier_sensitivity,
+    outlier_sensitivity_report,
     percentile_rank,
     rank_ascending,
     rank_descending,
@@ -266,6 +267,21 @@ class TestOutlierSensitivity:
         fts_share = 1.0  # 100 is above the threshold in the big set
         assert r.dropped_citations == 100
         assert r.top_share_full >= r.top_share_without_max
+
+    def test_weights_are_the_reference_sets_top_share_weights(self):
+        reference = TIE_SET + [70, 0, 0]
+        means = [sum(reference) / len(reference)] * 4
+        for sample in ([61, 58, 1, 0], [70, 61, 61, 58], [1, 1, 0, 0]):
+            for x in (1.0, 10.0, 33.3):
+                fts = fractional_top_share(reference, x)
+                weights = [fts.weight_for(c) for c in sample]
+                assert outlier_sensitivity(
+                    sample, x, reference_citations=reference, ref_means=means
+                ) == outlier_sensitivity_report(sample, means, weights, x)
+
+    def test_empty_reference_rejected(self):
+        with pytest.raises(ValueError):
+            outlier_sensitivity([5, 1], 10.0, reference_citations=[], ref_means=[1.0, 1.0])
 
     def test_json_shape(self):
         d = outlier_sensitivity([9, 2, 2], 10.0).to_json_dict()

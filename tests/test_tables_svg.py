@@ -351,16 +351,6 @@ class TestSvgChart:
         assert y1 == y2
         assert 'class="ci-point"' in svg
 
-    def test_scale_factor(self):
-        base = CiChartSpec(
-            series=(CiSeries("a", 0.11, 0.07, 0.15), CiSeries("b", 0.29, 0.25, 0.33)),
-            reference_line=0.10,
-            scale=100.0,
-        )
-        svg = render_ci_chart(base)
-        # tick labels are in percentage units after scaling
-        assert re.search(r'text-anchor="end">\d+</text>', svg)
-
     def test_no_timestamps_and_deterministic(self):
         assert render_ci_chart(FIG1) == render_ci_chart(FIG1)
 
