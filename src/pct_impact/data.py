@@ -11,22 +11,22 @@ fraction exceeds a configurable threshold.
 A Dataset stores its papers as columns, one entry per paper in input
 order: ids, institution labels, years, category tuples, citation counts
 (int64) and supplied inverted percentiles (float64, NaN where absent).
-parse_records reads plain CSV text column by column (_parse_columns):
-text with no quote, NUL or lone carriage return, no blank line, the
-header's field count on every line and no field over the csv module's
-size limit. Each distinct cell of a column is converted once and the
-record rules are checked over whole columns; only a row that breaks a
-rule goes through the row loop, for its reject reason, and rows that
-share an id are merged or rejected as the row loop does. Any other text
-goes through csv.reader and the row loop (_parse_rows), which reports
-each reject with its line number and merges repeated ids; both paths give
-the same result. The record rules live in one function, _check_record,
-which the row loop applies to every row and PublicationRecord applies on
-construction. Reference sets and institution samples are index arrays
-over the columns (Dataset.set_membership, Dataset.institution_rows;
-group_reference_sets and select_institution_sample return the same
-arrays). PublicationRecord objects are built only when a caller reads
-Dataset.records.
+parse_records has one parser with two tokenizers. Plain text (no quote,
+NUL or lone carriage return, no blank line, the header's field count on
+every line) is split on commas and line ends (_plain_fields); any other
+text is read by csv.reader (_csv_fields), which skips blank rows, pads or
+cuts each row to the header's width and keeps the line on which each row
+ends. Both give one flat field list, and one column pass (_parse_columns)
+converts each distinct cell of a column once and checks the record rules
+over whole columns. Only a row that breaks a rule is looked at alone, for
+its reject reason (_reject_reason); rows that share an id are merged, or
+rejected when they conflict. The record rules live in one function,
+_check_record, which the column pass applies and PublicationRecord
+applies on construction. Reference sets and institution samples are
+index arrays over the columns (Dataset.set_membership,
+Dataset.institution_rows; group_reference_sets and
+select_institution_sample return the same arrays). PublicationRecord
+objects are built only when a caller reads Dataset.records.
 """
 
 from __future__ import annotations
@@ -69,6 +69,12 @@ OPTIONAL_COLUMNS = ("inv_percentile",)
 _MAX_CITATIONS = 2**63 - 1  # citation counts are held in an int64 column
 
 
+def _breaks_line(label: str) -> bool:
+    """Whether label holds a tab or a line break, which would split a row of
+    a TSV or text table."""
+    return "\t" in label or "\r" in label or "\n" in label
+
+
 def _check_record(
     pid: str,
     institution: str,
@@ -92,6 +98,8 @@ def _check_record(
         raise ValueError(f"citations must be < 2**63, got {citations}")
     if inv_percentile is not None and not 0.0 <= inv_percentile <= 100.0:
         raise ValueError(f"inv_percentile must be in [0, 100], got {inv_percentile}")
+    if _breaks_line(institution):
+        raise ValueError("institution contains a tab or line break")
 
 
 @dataclass(frozen=True)
@@ -309,8 +317,11 @@ def parse_records(
     the last is read.
     """
     text = _read_text(source)
-    parsed = _parse_columns(text, config)
-    return _parse_rows(text, config) if parsed is None else parsed
+    plain = _plain_fields(text)
+    parsed = None if plain is None else _parse_columns(*plain, None, config)
+    if parsed is None:  # not plain, or a field over csv.field_size_limit()
+        parsed = _parse_columns(*_csv_fields(text), config)
+    return parsed
 
 
 def _plain_fields(text: str) -> Optional[tuple[list[str], list[str]]]:
@@ -345,6 +356,42 @@ def _plain_fields(text: str) -> Optional[tuple[list[str], list[str]]]:
     ):
         return None
     return names, fields
+
+
+def _checked_rows(reader) -> Iterator[list[str]]:
+    """reader's rows; a csv.Error becomes a DataError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
+
+
+def _csv_fields(text: str) -> tuple[list[str], list[str], list[int]]:
+    """The header's fields, the body's fields and the line on which each
+    data row ends, of any text that csv.reader reads.
+
+    Blank rows are skipped, and every other row is padded with empty
+    fields or cut to the header's width, then closed with a "\\n" field,
+    as _plain_fields closes every line but the last.
+    """
+    reader = csv.reader(io.StringIO(text))
+    rows = _checked_rows(reader)
+    header = next(rows, None)
+    if header is None:
+        raise ConfigurationError("input is empty; expected a CSV header")
+    _header_columns(header)  # a missing column is reported before a fault of the body
+    width = len(header)
+    fields: list[str] = []
+    lines: list[int] = []
+    for row in rows:
+        if len(row) != width:
+            if not row:
+                continue
+            row = (row + [""] * width)[:width]
+        row.append("\n")
+        fields += row
+        lines.append(reader.line_num)
+    return header, fields, lines
 
 
 def _converted(
@@ -403,24 +450,40 @@ def _breaks_rule(argument: int, value: object) -> bool:
     return False
 
 
+def _reject_reason(row: Sequence[str], required: Sequence[int], i_pct: Optional[int]) -> str:
+    """The reason a row that breaks a record rule is rejected for: its first
+    conversion failure, in column order, or else the rule it breaks first."""
+    i_id, i_inst, i_year, i_cat, i_cit = required
+    try:
+        pid, inst = row[i_id].strip(), row[i_inst].strip()
+        _stripped_int(row[i_year])
+        categories = _categories(row[i_cat])
+        citations = _stripped_int(row[i_cit])
+        pct = None if i_pct is None else _stripped_float(row[i_pct])
+        _check_record(pid, inst, categories, citations, pct)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("the row breaks no record rule")
+
+
 def _parse_columns(
-    text: str, config: IngestionConfig
+    names: list[str], fields: list[str], lines: Optional[Sequence[int]],
+    config: IngestionConfig,
 ) -> Optional[tuple[Dataset, list[RejectedRow]]]:
-    """parse_records over plain text, column by column; None for text that
-    is not plain (_plain_fields) or has a field longer than
-    csv.field_size_limit(), which the row loop parses instead.
+    """parse_records over a header's fields and the body's fields in the
+    layout of _plain_fields; lines holds the line on which each data row
+    ends, or is None for plain text, whose row i ends on line i + 2. None
+    for plain text with a field longer than csv.field_size_limit(), which
+    csv.reader checks for any other text.
 
     Each distinct cell of a converted column is converted once, and each
     column is checked against whole-column forms of _check_record's rules.
     Only a column that fails its check is looked at cell by cell: a row
-    with a cell that fails its conversion or a rule goes through the row
-    loop alone for its reject. Rows that share an id are merged or
-    rejected as in the row loop. A header without a required column
-    raises the row loop's ConfigurationError.
+    with a cell that fails its conversion or a rule is rejected, with the
+    reason _reject_reason gives. A row whose id an earlier record has adds
+    its categories to that record when its other fields are the same, and
+    is rejected otherwise.
     """
-    names, fields = _plain_fields(text) or (None, None)
-    if fields is None:
-        return None
     required, i_pct, _ = _header_columns(names)
     i_id, i_inst, i_year, i_cat, i_cit = required
     width, step = len(names), len(names) + 1
@@ -429,11 +492,13 @@ def _parse_columns(
     # over the column's results
     specs = {
         i_id: (str.strip, 0, lambda ids: "" not in ids),
-        i_inst: (str.strip, 1, lambda insts: "" not in insts),
+        i_inst: (str.strip, 1,
+                 lambda insts: "" not in insts and not _breaks_line("".join(insts))),
         i_year: (_stripped_int, None, lambda years: True),
         # _categories drops empty and repeated names
         i_cat: (_categories, 2, lambda cats: () not in cats),
-        i_cit: (_stripped_int, 3, lambda cits: 0 <= min(cits) and max(cits) <= _MAX_CITATIONS),
+        i_cit: (_stripped_int, 3, lambda cits: (
+            0 <= min(cits, default=0) and max(cits, default=0) <= _MAX_CITATIONS)),
     }
     if i_pct is not None:
         specs[i_pct] = (_stripped_float, 4,
@@ -450,11 +515,14 @@ def _parse_columns(
         except ValueError:
             columns[k] = _converted(fields[k::step], _or_bad(convert))
             unconverted.add(k)
-    # the distinct cells of converted columns, every cell of the others
-    cells = [distinct for _, _, distinct in columns.values()]
-    cells += [fields[k::step] for k in range(width) if k not in columns]
-    if max(max(map(len, column)) for column in cells) > csv.field_size_limit():
-        return None
+    if lines is None:
+        # the distinct cells of converted columns, every cell of the others
+        cells = [distinct for _, _, distinct in columns.values()]
+        cells += [fields[k::step] for k in range(width) if k not in columns]
+        if max(max(map(len, column)) for column in cells) > csv.field_size_limit():
+            return None
+        del cells
+        lines = range(2, n + 2)
 
     bad: set[int] = set()  # rows with a cell that fails its conversion or a rule
     for k, (_, argument, valid) in specs.items():
@@ -465,9 +533,9 @@ def _parse_columns(
             bad.update(i for i, value in enumerate(values) if value in failing)
     rejects: dict[int, RejectedRow] = {}
     for i in bad:
-        row = fields[i * step:i * step + width]
-        rejects[i] = _row_loop(names, [row], lambda: i + 2)[1][0]
-    del fields, cells
+        reason = _reject_reason(fields[i * step:i * step + width], required, i_pct)
+        rejects[i] = RejectedRow(row=lines[i], reason=reason)
+    del fields
 
     insts, years, cats, cits = (columns[k][0] for k in required[1:])
     pcts = columns[i_pct][0] if i_pct is not None else (None,) * n
@@ -487,7 +555,7 @@ def _parse_columns(
             dropped.add(i)
             if (insts[k], years[k], cits[k], pcts[k]) != (insts[i], years[i], cits[i], pcts[i]):
                 reason = f"conflicts with earlier row for id {ids[i]!r}"
-                rejects[i] = RejectedRow(row=i + 2, reason=reason)
+                rejects[i] = RejectedRow(row=lines[i], reason=reason)
             else:
                 cats[k] = tuple(dict.fromkeys(cats[k] + cats[i]))
     records: Sequence[Sequence] = (ids, insts, years, cats, cits, pcts)
@@ -497,88 +565,6 @@ def _parse_columns(
             keep[i] = 0
         records = [list(compress(column, keep)) for column in records]
     return _dataset(records, [rejects[i] for i in sorted(rejects)], n, config)
-
-
-def _checked_rows(reader) -> Iterator[list[str]]:
-    """reader's rows; a csv.Error becomes a DataError naming the line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise DataError(f"line {reader.line_num}: {exc}") from None
-
-
-def _parse_rows(
-    text: str, config: IngestionConfig = IngestionConfig()
-) -> tuple[Dataset, list[RejectedRow]]:
-    """parse_records through csv.reader, one row at a time: the parse of
-    every text that is not plain, and the reference for the column pass."""
-    reader = csv.reader(io.StringIO(text))
-    rows = _checked_rows(reader)
-    header = next(rows, None)
-    if header is None:
-        raise ConfigurationError("input is empty; expected a CSV header")
-    records, rejects, n_rows = _row_loop(header, rows, lambda: reader.line_num)
-    return _dataset(records, rejects, n_rows, config)
-
-
-def _row_loop(
-    header: Sequence[str], rows: Iterable[list[str]], line: Callable[[], int]
-) -> tuple[Sequence[list], list[RejectedRow], int]:
-    """The records and rejects of rows read one at a time, and the number
-    of rows that are not blank; line() is the line of the row last read.
-
-    A row whose id an earlier record has adds its categories to that
-    record when its other fields are the same, and is rejected otherwise.
-    """
-    (i_id, i_inst, i_year, i_cat, i_cit), i_pct, width = _header_columns(header)
-
-    ids: list[str] = []
-    insts: list[str] = []
-    years: list[int] = []
-    cats: list[tuple[str, ...]] = []
-    cits: list[int] = []
-    pcts: list[Optional[float]] = []
-    row_of: dict[str, int] = {}
-    rejects: list[RejectedRow] = []
-    n_rows = 0
-
-    for row in rows:
-        if not row:
-            continue
-        n_rows += 1
-        if len(row) < width:
-            row += [""] * (width - len(row))
-        try:
-            # conversions first, in column order: a row with several faults
-            # reports its first conversion failure
-            pid = row[i_id].strip()
-            inst = row[i_inst].strip()
-            year = int(row[i_year].strip())
-            categories = _categories(row[i_cat])
-            citations = int(row[i_cit].strip())
-            pct_raw = row[i_pct].strip() if i_pct is not None else ""
-            pct = float(pct_raw) if pct_raw else None
-            _check_record(pid, inst, categories, citations, pct)
-        except ValueError as exc:
-            rejects.append(RejectedRow(row=line(), reason=str(exc)))
-            continue
-
-        k = row_of.get(pid)
-        if k is None:
-            row_of[pid] = len(ids)
-            ids.append(pid)
-            insts.append(inst)
-            years.append(year)
-            cats.append(categories)
-            cits.append(citations)
-            pcts.append(pct)
-        elif (insts[k], years[k], cits[k], pcts[k]) != (inst, year, citations, pct):
-            reason = f"conflicts with earlier row for id {pid!r}"
-            rejects.append(RejectedRow(row=line(), reason=reason))
-        else:
-            cats[k] = tuple(dict.fromkeys(cats[k] + categories))
-
-    return (ids, insts, years, cats, cits, pcts), rejects, n_rows
 
 
 def _dataset(

@@ -267,6 +267,65 @@ class TestPercentilesCommand:
         assert [row[1] for row in rows[1:]] == ["X,Y:2001", "X,Y:2001", 'Q"Z:2001']
 
 
+class TestQuotedInput:
+    DEMO = Path(__file__).parents[1] / "demos" / "data" / "institutions.csv"
+
+    @pytest.mark.parametrize("argv", [
+        ["summary", "--format", "tsv,json,svg"],
+        ["percentiles", "--scheme", "incites", "--inverted", "--zero-adjust"],
+    ])
+    def test_fully_quoted_demo_writes_the_same_bytes(self, argv, tmp_path, capsys):
+        with open(self.DEMO, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        quoted = tmp_path / "quoted.csv"
+        with open(quoted, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
+        assert quoted.read_bytes() != self.DEMO.read_bytes()
+        runs = []
+        for path, out in ((self.DEMO, tmp_path / "plain"), (quoted, tmp_path / "quoted")):
+            assert run(argv[0], "--input", path, "--out-dir", out, *argv[1:]) == 0
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs.append((capsys.readouterr().out.replace(str(out), "OUT"), files))
+        assert runs[0] == runs[1] and runs[0][1]
+
+    def test_rejects_name_the_line_each_row_ends_on(self, tmp_path):
+        messy = tmp_path / "messy.csv"
+        messy.write_text(
+            "id,institution,pub_year,category,citations,note\n"
+            'p1,A,2001,C,5,"two\nlines"\n'  # lines 2-3
+            "p2,A,2001,C,-1,\n"  # line 4: rejected
+            'p3,A,2001,C,2,"x\ny\nz"\n'  # lines 5-7
+            "p1,A,2001,C,6,\n"  # line 8: conflicts with line 3
+            + "".join(f"q{i},B,2001,C,{i},\n" for i in range(20)),
+            encoding="utf-8",
+        )
+        assert run("percentiles", "--input", messy, "--out-dir", tmp_path) == 0
+        with open(tmp_path / "rejects.csv", newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [
+                ["row", "reason"],
+                ["4", "citations must be >= 0, got -1"],
+                ["8", "conflicts with earlier row for id 'p1'"],
+            ]
+
+    def test_labels_with_a_tab_or_line_break_are_rejected(self, tmp_path):
+        labels = tmp_path / "labels.csv"
+        labels.write_text(
+            HEADER
+            + "".join(f"p{i},{'XY'[i % 2]},2001,CAT,{i},\n" for i in range(30))
+            + 'b1,X\tY,2001,CAT,3,\nb2,"X\nY",2001,CAT,3,\nb3,"X\r\nY",2001,CAT,3,\n',
+            encoding="utf-8",
+        )
+        assert run("summary", "--input", labels, "--out-dir", tmp_path,
+                   "--format", "tsv") == 0
+        rejects = (tmp_path / "rejects.csv").read_text(encoding="utf-8").splitlines()
+        assert rejects[1:] == [f"{row},institution contains a tab or line break"
+                               for row in (32, 34, 36)]
+        with open(tmp_path / "summary.tsv", newline="", encoding="utf-8") as fh:
+            header, *rows = fh.read().splitlines()
+        assert header.split("\t")[1:] == ["X", "Y"]  # a column per institution
+        assert rows and {len(row.split("\t")) for row in rows} == {3}
+
+
 class TestRobustnessCommand:
     def test_reports_per_institution(self, tie_csv, tmp_path, capsys):
         code = run("robustness", "--input", tie_csv, "--out-dir", tmp_path,

@@ -14,7 +14,6 @@ from pct_impact.data import (
     ReferenceSetKey,
     RejectedRow,
     _parse_columns,
-    _parse_rows,
     _plain_fields,
     filter_years,
     group_reference_sets,
@@ -29,6 +28,7 @@ from pct_impact.errors import (
     RejectThresholdError,
     UnknownInstitutionError,
 )
+from row_reference import _parse_rows
 
 HEADER = "id,institution,pub_year,category,citations,inv_percentile\n"
 
@@ -198,7 +198,8 @@ class TestParse:
         merged, conflict, empty = "p0,1,2002,X,0,97.2984\n", "p0,1,2002,X,1,\n", "q,,2002,X,0,\n"
         for plain in (text, text.replace("\n", "\r\n"), text.rstrip("\n"),
                       text + merged, text + conflict, text + empty):
-            assert _parse_columns(plain, IngestionConfig()) == _parse_rows(plain)
+            parsed = _parse_columns(*_plain_fields(plain), None, IngestionConfig())
+            assert parsed == _parse_rows(plain)
         for not_plain in (text + "\n", text.replace(",", '",', 1), text + "q,1,2002,X,0,,\n"):
             assert _plain_fields(not_plain) is None
 

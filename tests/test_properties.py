@@ -1,7 +1,9 @@
 """Property-based invariants for the statistical core and CSV ingestion."""
 
 import csv
+import io
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -14,7 +16,6 @@ from pct_impact.data import (
     Dataset,
     IngestionConfig,
     PublicationRecord,
-    _parse_rows,
     _plain_fields,
     group_reference_sets,
     parse_records,
@@ -39,6 +40,7 @@ from pct_impact.percentiles import (
     percentile_rank,
 )
 from pct_impact.resampling import mann_whitney
+from row_reference import _parse_rows
 
 citation_lists = st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=60)
 schemes = st.builds(
@@ -264,7 +266,7 @@ VALID_CELLS = {
 }
 FAULT_CELLS = {
     "id": ["", " ", "p0", '"p1"', " p0"],
-    "institution": ["", '"A"', '"A,B"', "\x00"],
+    "institution": ["", '"A"', '"A,B"', "\x00", "A\tB", '"A\nB"'],
     "pub_year": ["x", "", "1.5", "\u0662\u0660"],
     "category": ["", " | ", "|", '"C\nD"', '"C""D"'],
     "citations": ["-1", "x", "", str(2**63), "1.0", "9" * 5000],
@@ -286,12 +288,12 @@ LIMIT = csv.field_size_limit()
 
 
 @st.composite
-def csv_texts(draw):
+def csv_texts(draw, plain=None):
     """CSV text in the input contract: a plain, valid file, or one with
     up to three faults of TEXT_FAULTS (a fault may leave it plain and valid);
-    or up to four faults of PLAIN_FAULTS, with no cell fault that makes the
-    text not plain."""
-    plain = draw(st.booleans())
+    or, when plain is true, up to four faults of PLAIN_FAULTS, with no cell
+    fault that makes the text not plain."""
+    plain = draw(st.booleans()) if plain is None else plain
     faults = draw(st.lists(st.sampled_from(PLAIN_FAULTS if plain else TEXT_FAULTS),
                            max_size=4 if plain else 3))
     names = ["id", "institution", "pub_year", "category", "citations"]
@@ -426,3 +428,36 @@ def test_parse_matches_row_loop(text, threshold):
     plain = _plain_fields(text.removeprefix("\ufeff")) is not None
     outcome = want[0].__name__ if len(want) == 2 else f"rejects: {bool(want[-1])}"
     event(f"plain: {plain}, {outcome}")
+
+
+def _quote_all(text):
+    """Plain CSV text with every field quoted by csv.writer; each line keeps
+    its line end, and the text its byte-order mark."""
+    bom = "\ufeff" if text.startswith("\ufeff") else ""
+    parts = re.split(r"(\r?\n)", text.removeprefix(bom))  # lines and line ends
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="")
+    for line, end in zip(parts[::2], parts[1::2] + [""]):
+        if line:
+            writer.writerow(line.split(","))
+        out.write(end)
+    return bom + out.getvalue()
+
+
+@given(csv_texts(plain=True), st.sampled_from([0.1, 1.0]))
+@example(_NAN_PERCENTILE, 1.0)
+@example(_LONG_FIELD, 1.0)
+@example(_EMPTY_ID, 1.0)
+@example(_REPEATED_IDS, 1.0)
+@settings(max_examples=200, deadline=None)
+def test_plain_and_quoted_spellings_parse_alike(text, threshold):
+    """A plain text and its fully quoted spelling give the same dataset and
+    the same rejects on the same lines, or the same error: quoting adds no
+    lines."""
+    assume(_plain_fields(text.removeprefix("\ufeff")) is not None)
+    quoted = _quote_all(text)
+    assert _plain_fields(quoted.removeprefix("\ufeff")) is None
+    config = IngestionConfig(reject_threshold=threshold)
+    want = _parsed(parse_records, text, config)
+    assert _parsed(parse_records, quoted, config) == want
+    event(want[0].__name__ if len(want) == 2 else f"rejects: {bool(want[-1])}")
