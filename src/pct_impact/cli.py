@@ -14,6 +14,7 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -103,15 +104,31 @@ class AnalysisConfig:
 
     @property
     def pair_list(self) -> list[tuple[str, str]]:
+        """a:b[,c:d...]; a side in double quotes may hold , and :, with "" for "."""
         if not self.pairs:
             raise ConfigurationError("this command needs --pairs a:b[,c:d...]")
-        out = []
-        for chunk in self.pairs.split(","):
-            parts = chunk.split(":")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                raise ConfigurationError(f"bad pair {chunk!r}; expected a:b")
-            out.append((parts[0].strip(), parts[1].strip()))
-        return out
+        bad = ConfigurationError(
+            f"bad pair list {self.pairs!r}; expected a:b[,c:d...], "
+            'with a side that holds "," or ":" in double quotes'
+        )
+        sides, separators, pos = [], "", 0
+        while True:
+            m = _PAIR_SIDE.match(self.pairs, pos)
+            if m is None:
+                raise bad
+            sides.append(m[2].strip() if m[1] is None else m[1].replace('""', '"'))
+            separators += m[3]
+            if not m[3]:
+                break
+            pos = m.end()
+        if not all(sides) or len(sides) % 2 or separators != ",".join(":" * (len(sides) // 2)):
+            raise bad
+        return list(zip(sides[::2], sides[1::2]))
+
+
+# one side of --pairs and the separator after it: a quoted side, or plain text
+# that does not start with a quote
+_PAIR_SIDE = re.compile(r'\s*(?:"((?:[^"]|"")*)"|([^,:"][^,:]*|))\s*([,:]|\Z)')
 
 
 _BOOL_KEYS = {"inverted", "zero_adjust", "welch", "mann_whitney"}
@@ -184,7 +201,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu0", type=float, default=None)
     p.add_argument("--top-x", dest="top_x", type=float, default=None)
     p.add_argument("--p0", type=float, default=None)
-    p.add_argument("--pairs", default=None, help="a:b[,c:d...]")
+    p.add_argument("--pairs", default=None, help='a:b[,c:d...]; "quote" a side holding , or :')
     p.add_argument("--counting", choices=["binary", "fractional"], default=None)
     p.add_argument("--bootstrap-reps", dest="bootstrap_reps", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)

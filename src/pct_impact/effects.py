@@ -171,12 +171,50 @@ class ProportionTestResult:
         }
 
 
-def _two_tailed_t_p(t: float, df: float) -> float:
-    return 2.0 * (1.0 - t_cdf(abs(t), df))
+def _upper_quantile(test: str, ci_level: float) -> float:
+    """The quantile whose critical value bounds a two-sided ci_level interval."""
+    if not 0.0 < ci_level < 1.0:
+        raise ValueError(f"{test}: ci_level must be in (0, 1), got {ci_level}")
+    return 0.5 + ci_level / 2.0
 
 
-def _two_tailed_z_p(z: float) -> float:
-    return 2.0 * (1.0 - normal_cdf(abs(z)))
+def _mean_test(
+    test: str, ci_level: float, estimate: float, se: float, t: float, df: float,
+    d: float, method: str, sp: Optional[float] = None,
+) -> MeanTestResult:
+    """Two-tailed p, the t interval around estimate and the magnitude of d."""
+    crit = t_quantile(_upper_quantile(test, ci_level), df)
+    return MeanTestResult(
+        estimate=estimate,
+        se=se,
+        statistic_t=t,
+        df=float(df),
+        p_two_tailed=2.0 * (1.0 - t_cdf(abs(t), df)),
+        ci_low=estimate - crit * se,
+        ci_high=estimate + crit * se,
+        effect_d=d,
+        magnitude=classify_magnitude(d),
+        method=method,
+        pooled_sd=sp,
+    )
+
+
+def _proportion_test(
+    test: str, ci_level: float, estimate: float, se: float, z: float, h: float, method: str
+) -> ProportionTestResult:
+    """Two-tailed p, the Wald interval around estimate and the magnitude of h."""
+    crit = normal_quantile(_upper_quantile(test, ci_level))
+    return ProportionTestResult(
+        estimate=estimate,
+        se=se,
+        statistic_z=z,
+        p_two_tailed=2.0 * (1.0 - normal_cdf(abs(z))),
+        ci_low=estimate - crit * se,
+        ci_high=estimate + crit * se,
+        effect_h=h,
+        magnitude=classify_magnitude(h),
+        method=method,
+    )
 
 
 def cohens_d_one(stats: SummaryStats, mu0: float) -> float:
@@ -200,24 +238,10 @@ def one_sample_t(stats: SummaryStats, mu0: float, ci_level: float = 0.95) -> Mea
         raise SampleSizeError("one_sample_t: need n >= 2 with a defined SD")
     if stats.sd <= 0:
         raise DegenerateVarianceError("one_sample_t: sample SD is zero")
-    if not 0.0 < ci_level < 1.0:
-        raise ValueError(f"one_sample_t: ci_level must be in (0, 1), got {ci_level}")
     se = stats.se if stats.se is not None else stats.sd / math.sqrt(stats.n)
-    df = stats.n - 1
-    t = (stats.mean - mu0) / se
-    crit = t_quantile(0.5 + ci_level / 2.0, df)
-    d = cohens_d_one(stats, mu0)
-    return MeanTestResult(
-        estimate=stats.mean,
-        se=se,
-        statistic_t=t,
-        df=float(df),
-        p_two_tailed=_two_tailed_t_p(t, df),
-        ci_low=stats.mean - crit * se,
-        ci_high=stats.mean + crit * se,
-        effect_d=d,
-        magnitude=classify_magnitude(d),
-        method="one-sample t",
+    return _mean_test(
+        "one_sample_t", ci_level, stats.mean, se, (stats.mean - mu0) / se, stats.n - 1,
+        cohens_d_one(stats, mu0), "one-sample t",
     )
 
 
@@ -246,23 +270,10 @@ def two_sample_pooled_t(
     """
     sp = pooled_sd(a, b)
     se = math.sqrt(sp**2 * (a.n + b.n) / (a.n * b.n))
-    df = a.n + b.n - 2
     diff = a.mean - b.mean
-    t = diff / se
-    crit = t_quantile(0.5 + ci_level / 2.0, df)
-    d = diff / sp
-    return MeanTestResult(
-        estimate=diff,
-        se=se,
-        statistic_t=t,
-        df=float(df),
-        p_two_tailed=_two_tailed_t_p(t, df),
-        ci_low=diff - crit * se,
-        ci_high=diff + crit * se,
-        effect_d=d,
-        magnitude=classify_magnitude(d),
-        method="two-sample pooled t",
-        pooled_sd=sp,
+    return _mean_test(
+        "two_sample_pooled_t", ci_level, diff, se, diff / se, a.n + b.n - 2, diff / sp,
+        "two-sample pooled t", sp,
     )
 
 
@@ -283,22 +294,10 @@ def two_sample_welch_t(
     se = math.sqrt(va + vb)
     df = (va + vb) ** 2 / (va**2 / (a.n - 1) + vb**2 / (b.n - 1))
     diff = a.mean - b.mean
-    t = diff / se
-    crit = t_quantile(0.5 + ci_level / 2.0, df)
     sp = pooled_sd(a, b)
-    d = diff / sp
-    return MeanTestResult(
-        estimate=diff,
-        se=se,
-        statistic_t=t,
-        df=df,
-        p_two_tailed=_two_tailed_t_p(t, df),
-        ci_low=diff - crit * se,
-        ci_high=diff + crit * se,
-        effect_d=d,
-        magnitude=classify_magnitude(d),
-        method="two-sample Welch t",
-        pooled_sd=sp,
+    return _mean_test(
+        "two_sample_welch_t", ci_level, diff, se, diff / se, df, diff / sp,
+        "two-sample Welch t", sp,
     )
 
 
@@ -327,24 +326,11 @@ def one_sample_prop_z(
         raise ValueError(f"one_sample_prop_z: need 0 <= count <= n, got {count}/{n}")
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"one_sample_prop_z: p0 must be in (0, 1), got {p0}")
-    if not 0.0 < ci_level < 1.0:
-        raise ValueError(f"one_sample_prop_z: ci_level must be in (0, 1), got {ci_level}")
     p = count / n
     se0 = math.sqrt(p0 * (1.0 - p0) / n)
-    z = (p - p0) / se0
-    se = math.sqrt(p * (1.0 - p) / n)
-    crit = normal_quantile(0.5 + ci_level / 2.0)
-    h = cohens_h_one(p, p0)
-    return ProportionTestResult(
-        estimate=p,
-        se=se,
-        statistic_z=z,
-        p_two_tailed=_two_tailed_z_p(z),
-        ci_low=p - crit * se,
-        ci_high=p + crit * se,
-        effect_h=h,
-        magnitude=classify_magnitude(h),
-        method="one-sample proportion z (Wald CI)",
+    return _proportion_test(
+        "one_sample_prop_z", ci_level, p, math.sqrt(p * (1.0 - p) / n), (p - p0) / se0,
+        cohens_h_one(p, p0), "one-sample proportion z (Wald CI)",
     )
 
 
@@ -369,20 +355,10 @@ def two_sample_prop_z(
         )
     diff = p1 - p2
     se_pooled = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
-    z = diff / se_pooled
     se_unpooled = math.sqrt(p1 * (1.0 - p1) / n1 + p2 * (1.0 - p2) / n2)
-    crit = normal_quantile(0.5 + ci_level / 2.0)
-    h = cohens_h_one(p1, p2)
-    return ProportionTestResult(
-        estimate=diff,
-        se=se_unpooled,
-        statistic_z=z,
-        p_two_tailed=_two_tailed_z_p(z),
-        ci_low=diff - crit * se_unpooled,
-        ci_high=diff + crit * se_unpooled,
-        effect_h=h,
-        magnitude=classify_magnitude(h),
-        method="two-sample proportion z (pooled SE for z, unpooled for CI)",
+    return _proportion_test(
+        "two_sample_prop_z", ci_level, diff, se_unpooled, diff / se_pooled,
+        cohens_h_one(p1, p2), "two-sample proportion z (pooled SE for z, unpooled for CI)",
     )
 
 

@@ -5,6 +5,18 @@ parameters) and data problems (bad input files, degenerate samples) are
 kept distinct so the command line layer can map them to stable exit codes.
 """
 
+__all__ = [
+    "CitationImpactError",
+    "ConfigurationError",
+    "DataError",
+    "SampleSizeError",
+    "EmptyDatasetError",
+    "UnknownInstitutionError",
+    "RejectThresholdError",
+    "DegenerateVarianceError",
+    "DegenerateReferenceError",
+]
+
 
 class CitationImpactError(Exception):
     """Base class for all package-specific errors."""

@@ -229,11 +229,7 @@ class FractionalTopShare:
 
     def weight_for(self, citations: int) -> Fraction:
         """Weight of any paper in this set with the given citation count."""
-        if citations > self.threshold_value:
-            return Fraction(1)
-        if citations == self.threshold_value:
-            return self.weight_at_threshold
-        return Fraction(0)
+        return _top_x_weight(citations, self.threshold_value, self.weight_at_threshold)
 
     @property
     def binary_share_excluding_ties(self) -> Fraction:
@@ -268,6 +264,13 @@ def _top_x_split(ordered: Sequence[int], x: float) -> tuple[int, int, int, Fract
     return threshold, count_above, tie_count, w_tie
 
 
+def _top_x_weight(citations: int, threshold: int, w_tie: Fraction) -> Fraction:
+    """A paper's top-x weight: 1 above the threshold count, w_tie at it, else 0."""
+    if citations > threshold:
+        return Fraction(1)
+    return w_tie if citations == threshold else Fraction(0)
+
+
 def fractional_top_share(citations: Sequence[int], x: float) -> FractionalTopShare:
     """Distribute n*x/100 top slots over a reference set, splitting ties.
 
@@ -278,10 +281,7 @@ def fractional_top_share(citations: Sequence[int], x: float) -> FractionalTopSha
         raise ValueError("fractional_top_share: empty citation list")
     threshold, count_above, tie_count, w_tie = _top_x_split(sorted(citations), x)
     n = len(citations)
-    weights = tuple(
-        Fraction(1) if c > threshold else (w_tie if c == threshold else Fraction(0))
-        for c in citations
-    )
+    weights = tuple(_top_x_weight(c, threshold, w_tie) for c in citations)
     return FractionalTopShare(
         weights=weights,
         share=sum(weights, Fraction(0)) / n,
@@ -415,10 +415,7 @@ def outlier_sensitivity(
         raise ValueError("outlier_sensitivity: ref_means length must match citations")
 
     threshold, _, _, w_tie = _top_x_split(sorted(reference_citations), x)
-    weights = [
-        Fraction(1) if c > threshold else (w_tie if c == threshold else Fraction(0))
-        for c in citations
-    ]
+    weights = [_top_x_weight(c, threshold, w_tie) for c in citations]
     return outlier_sensitivity_report(citations, ref_means, weights, x)
 
 

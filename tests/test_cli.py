@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pct_impact
-from pct_impact.cli import main
+from pct_impact.cli import AnalysisConfig, main
 
 HEADER = "id,institution,pub_year,category,citations,inv_percentile\n"
 
@@ -146,6 +146,48 @@ class TestCompareCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "NOPE" in err and "A" in err
+
+
+class TestQuotedPairs:
+    """A side of --pairs in double quotes may name a label holding , or :."""
+
+    PAIRS = '"A:B":"C,D"'
+
+    @pytest.fixture
+    def punct_csv(self, tmp_path):
+        lines = [HEADER]
+        for inst, (_, pcts) in zip(('A:B', '"C,D"'), ROWS):
+            lines += [f"{inst}{k},{inst},2001,CAT,{100 - int(p)},{p}\n"
+                      for k, p in enumerate(pcts)]
+        path = tmp_path / "punct.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["compare"], ["topcompare"], ["bootstrap", "--statistic", "mean-diff",
+                                      "--bootstrap-reps", "50"],
+    ])
+    def test_quoted_sides_name_the_labels(self, punct_csv, tmp_path, argv):
+        assert run(*argv, "--input", punct_csv, "--pairs", self.PAIRS,
+                   "--out-dir", tmp_path, "--format", "json") == 0
+
+    def test_compare_labels_the_column(self, punct_csv, tmp_path):
+        assert run("compare", "--input", punct_csv, "--pairs", f' {self.PAIRS} ,"C,D": "A:B" ',
+                   "--out-dir", tmp_path, "--format", "tsv") == 0
+        header = (tmp_path / "compare.tsv").read_text().splitlines()[0]
+        assert header.split("\t")[1:] == ["A:B vs C,D", "C,D vs A:B"]
+
+    def test_doubled_quote_stands_for_one(self):
+        assert AnalysisConfig(pairs='"say ""hi""":b"c').pair_list == [('say "hi"', 'b"c')]
+
+    @pytest.mark.parametrize("pairs", [
+        '"A:B:"C,D"', '"A:B"x:"C,D"', '"A:B":"C,D', '"":"C,D"', '"A:B": ', "A:B:C",
+        '"A:B","C,D"', '"A:B":"C,D",',
+    ])
+    def test_malformed_pairs_exit_2(self, punct_csv, tmp_path, capsys, pairs):
+        assert run("compare", "--input", punct_csv, "--pairs", pairs,
+                   "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("configuration error: bad pair")
 
 
 class TestTopShareCommands:

@@ -6,6 +6,7 @@ independent recomputation in the test body.
 """
 
 import math
+import re
 
 import pytest
 
@@ -291,6 +292,18 @@ class TestTwoSampleProportion:
             two_sample_prop_z(0, 10, 0, 20)
         with pytest.raises(DegenerateVarianceError):
             two_sample_prop_z(10, 10, 20, 20)
+
+
+@pytest.mark.parametrize("test,args", [
+    (two_sample_pooled_t, (INST1, INST2)),
+    (two_sample_welch_t, (INST1, INST2)),
+    (two_sample_prop_z, (30, 268, 60, 549)),
+])
+@pytest.mark.parametrize("ci_level", [0.0, 1.0, 1.5, -0.2])
+def test_two_sample_tests_check_ci_level(test, args, ci_level):
+    message = f"{test.__name__}: ci_level must be in (0, 1), got {ci_level}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        test(*args, ci_level=ci_level)
 
 
 class TestMagnitude:
