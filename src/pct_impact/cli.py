@@ -17,9 +17,8 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .percentiles import (
     PercentileFormula,
     PercentileScheme,
     assign_best_percentiles,
-    classify_top_x,
     outlier_sensitivity_report,
 )
 from .resampling import BootstrapSpec, BootstrapStatistic, CiMethod, bootstrap_samples
@@ -41,8 +39,7 @@ SEED_ENV_VAR = "PCT_IMPACT_SEED"
 FORMATS = ("tsv", "json", "svg")
 
 
-@dataclass
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
     input: Optional[str] = None
     scheme: str = "common"
     inverted: bool = False
@@ -157,7 +154,7 @@ def read_config_file(path: str) -> dict:
         key, _, raw = stripped.partition("=")
         key = key.strip().replace("-", "_")
         raw = raw.strip()
-        if key not in AnalysisConfig.__dataclass_fields__:
+        if key not in AnalysisConfig._fields:
             raise ConfigurationError(f"{path}:{i}: unknown config key {key!r}")
         if key in _BOOL_KEYS:
             values[key] = _parse_bool(raw)
@@ -172,20 +169,19 @@ def read_config_file(path: str) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> AnalysisConfig:
     """Layer CLI > config file > environment seed > defaults."""
-    cfg = AnalysisConfig()
+    values = {}
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            cfg.seed = int(env_seed)
+            values["seed"] = int(env_seed)
         except ValueError:
             raise ConfigurationError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
     if getattr(args, "config", None):
-        for key, value in read_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for key in AnalysisConfig.__dataclass_fields__:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
+        values.update(read_config_file(args.config))
+    for key in AnalysisConfig._fields:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    cfg = AnalysisConfig(**values)
     cfg.validate()
     return cfg
 
@@ -314,13 +310,15 @@ def _top_weights(cfg: AnalysisConfig, dataset: Dataset) -> np.ndarray:
     """Top-x weight per dataset row under the configured counting mode.
 
     The one place where --counting becomes per-paper weights. Binary
-    counting weighs each paper 0 or 1 by its analysis percentile;
-    fractional counting uses the tie-split weight of the paper's best set.
+    counting weighs each paper 0 or 1 by its analysis percentile, as
+    classify_top_x would (the percentiles lie in [0, 100], top_x in
+    (0, 100)); fractional counting uses the tie-split weight of the paper's
+    best set.
     """
     if cfg.counting == "binary":
         pct, inverted = _analysis_percentiles(cfg, dataset)
         _require_inverted(inverted)
-        return np.array([classify_top_x(v, cfg.top_x) for v in pct.tolist()], dtype=float)
+        return (pct <= cfg.top_x).astype(float)
     return assign_best_percentiles(dataset, cfg.percentile_scheme, x=cfg.top_x).top_x_weight
 
 

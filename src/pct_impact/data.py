@@ -34,10 +34,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -102,14 +101,7 @@ def _check_record(
         raise ValueError("institution contains a tab or line break")
 
 
-@dataclass(frozen=True)
-class PublicationRecord:
-    """One paper: its home institution, fields, year and citation count.
-
-    inv_percentile is an optional pre-supplied inverted percentile in
-    [0, 100] (smaller is better, 100 means uncited).
-    """
-
+class _PublicationRecord(NamedTuple):
     id: str
     institution: str
     pub_year: int
@@ -117,22 +109,31 @@ class PublicationRecord:
     citations: int
     inv_percentile: Optional[float] = None
 
-    def __post_init__(self):
-        _check_record(
-            self.id, self.institution, self.categories, self.citations, self.inv_percentile
-        )
+
+class PublicationRecord(_PublicationRecord):
+    """One paper: its home institution, fields, year and citation count.
+
+    inv_percentile is an optional pre-supplied inverted percentile in
+    [0, 100] (smaller is better, 100 means uncited).
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        r = super().__new__(cls, *args, **kwargs)
+        _check_record(r.id, r.institution, r.categories, r.citations, r.inv_percentile)
+        return r
 
 
-@dataclass(frozen=True)
-class ReferenceSetKey:
+class ReferenceSetKey(NamedTuple):
     """Exact (subject category, publication year) pair."""
 
     category: str
     pub_year: int
 
 
-@dataclass(frozen=True)
-class SetMembership:
+class SetMembership(NamedTuple):
     """Every (paper, reference set) pair of a dataset, grouped by set.
 
     keys are the sets, sorted by category then year. Pair i puts dataset
@@ -146,7 +147,6 @@ class SetMembership:
     bounds: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
 class Dataset:
     """Papers as columns, one entry per paper in input order.
 
@@ -155,12 +155,15 @@ class Dataset:
     from_records.
     """
 
-    ids: tuple[str, ...]
-    institution_labels: tuple[str, ...]
-    years: tuple[int, ...]
-    categories: tuple[tuple[str, ...], ...]
-    citations: np.ndarray
-    inv_percentiles: np.ndarray
+    def __init__(self, ids: tuple[str, ...], institution_labels: tuple[str, ...],
+                 years: tuple[int, ...], categories: tuple[tuple[str, ...], ...],
+                 citations: np.ndarray, inv_percentiles: np.ndarray):
+        self.ids = ids
+        self.institution_labels = institution_labels
+        self.years = years
+        self.categories = categories
+        self.citations = citations
+        self.inv_percentiles = inv_percentiles
 
     @classmethod
     def from_records(cls, records: Iterable[PublicationRecord]) -> "Dataset":
@@ -173,7 +176,7 @@ class Dataset:
             citations=np.array([r.citations for r in records], dtype=np.int64),
             inv_percentiles=np.array([r.inv_percentile for r in records], dtype=float),
         )
-        dataset.__dict__["records"] = records  # keep the caller's objects
+        dataset.records = records  # keep the caller's objects
         return dataset
 
     def __len__(self) -> int:
@@ -254,15 +257,13 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
-class IngestionConfig:
+class IngestionConfig(NamedTuple):
     """Knobs for CSV parsing; reject_threshold is a fraction of data rows."""
 
     reject_threshold: float = 0.10
 
 
-@dataclass(frozen=True)
-class RejectedRow:
+class RejectedRow(NamedTuple):
     row: int  # physical line number in the source file
     reason: str
 

@@ -10,9 +10,8 @@ significance. Every p-value and interval goes through the kernels in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DegenerateVarianceError, SampleSizeError
 from .kernels import normal_cdf, normal_quantile, t_cdf, t_quantile
@@ -66,25 +65,28 @@ def classify_magnitude(effect: float) -> Magnitude:
     return Magnitude.LARGE
 
 
-@dataclass(frozen=True)
-class SummaryStats:
-    """Sample size, mean, sample SD (n-1 divisor) and SE of the mean.
-
-    For n = 1 the SD and SE are undefined and stored as None.
-    """
-
+class _SummaryStats(NamedTuple):
     n: int
     mean: float
     sd: Optional[float]
     se: Optional[float]
 
-    def __post_init__(self):
-        if self.sd is not None and self.se is not None and self.sd > 0:
-            expected = self.sd / math.sqrt(self.n)
-            if abs(self.se - expected) > 1e-12 * expected:
-                raise ValueError(
-                    f"SummaryStats: se {self.se} is not sd/sqrt(n) = {expected}"
-                )
+
+class SummaryStats(_SummaryStats):
+    """Sample size, mean, sample SD (n-1 divisor) and SE of the mean.
+
+    For n = 1 the SD and SE are undefined and stored as None.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, n: int, mean: float, sd: Optional[float], se: Optional[float]):
+        if sd is not None and se is not None and sd > 0:
+            expected = sd / math.sqrt(n)
+            if abs(se - expected) > 1e-12 * expected:
+                raise ValueError(f"SummaryStats: se {se} is not sd/sqrt(n) = {expected}")
+        return super().__new__(cls, n, mean, sd, se)
 
     @classmethod
     def from_moments(cls, n: int, mean: float, sd: float) -> "SummaryStats":
@@ -109,8 +111,7 @@ def summarize(values: Sequence[float]) -> SummaryStats:
     return SummaryStats(n=n, mean=mean, sd=sd, se=sd / math.sqrt(n))
 
 
-@dataclass(frozen=True)
-class MeanTestResult:
+class MeanTestResult(NamedTuple):
     """Outcome of a one- or two-sample t test on mean percentile scores."""
 
     estimate: float  # observed mean, or difference of means
@@ -143,8 +144,7 @@ class MeanTestResult:
         return out
 
 
-@dataclass(frozen=True)
-class ProportionTestResult:
+class ProportionTestResult(NamedTuple):
     """Outcome of a one- or two-sample large-sample proportion z test."""
 
     estimate: float  # observed proportion, or difference of proportions
@@ -362,8 +362,7 @@ def two_sample_prop_z(
     )
 
 
-@dataclass(frozen=True)
-class OverlapVerdict:
+class OverlapVerdict(NamedTuple):
     """What overlap of two 95% confidence intervals does and does not imply."""
 
     overlap: bool

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
@@ -53,8 +52,7 @@ class PercentileFormula(Enum):
     INCITES = "incites"
 
 
-@dataclass(frozen=True)
-class PercentileScheme:
+class PercentileScheme(NamedTuple):
     """Fully determines how citation ranks become percentiles.
 
     inverted ranks papers by descending citations, so 100 means worst.
@@ -70,8 +68,7 @@ class PercentileScheme:
         return 100.0 if self.inverted else 0.0
 
 
-@dataclass(frozen=True)
-class PercentileAssignment:
+class PercentileAssignment(NamedTuple):
     paper_id: str
     rank: int
     percentile: float
@@ -209,8 +206,7 @@ def classify_top_x(inv_percentile: float, x: float) -> int:
     return 1 if inv_percentile <= x else 0
 
 
-@dataclass(frozen=True)
-class FractionalTopShare:
+class FractionalTopShare(NamedTuple):
     """Per-paper top-x weights for one reference set.
 
     Papers strictly above the threshold citation count get weight 1;
@@ -307,8 +303,7 @@ def mncs(citations: Sequence[float], ref_means: Sequence[float]) -> float:
     return math.fsum(c / m for c, m in zip(citations, ref_means)) / len(citations)
 
 
-@dataclass(frozen=True)
-class OutlierSensitivityReport:
+class OutlierSensitivityReport(NamedTuple):
     """How MNCS and the fractional top-x share react to the top-cited paper."""
 
     n: int
@@ -419,8 +414,7 @@ def outlier_sensitivity(
     return outlier_sensitivity_report(citations, ref_means, weights, x)
 
 
-@dataclass(frozen=True)
-class BestPercentiles:
+class BestPercentiles(NamedTuple):
     """Each paper's best reference set and what that set assigns it.
 
     The per-paper arrays follow the dataset's row order; best_set indexes

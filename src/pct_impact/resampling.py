@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Hashable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,6 +32,7 @@ __all__ = [
     "bootstrap_samples",
     "bootstrap_statistic",
     "mann_whitney",
+    "mann_whitney_pairs",
 ]
 
 
@@ -51,21 +51,26 @@ class BootstrapStatistic(Enum):
 _TWO_SAMPLE = (BootstrapStatistic.MEAN_DIFF, BootstrapStatistic.PROP_DIFF)
 
 
-@dataclass(frozen=True)
-class BootstrapSpec:
-    """Identical spec + identical data gives identical results, bit for bit."""
-
+class _BootstrapSpec(NamedTuple):
     replicates: int = 1000
     seed: int = 0
     ci_method: CiMethod = CiMethod.NORMAL_APPROX
 
-    def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+
+class BootstrapSpec(_BootstrapSpec):
+    """Identical spec + identical data gives identical results, bit for bit."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        if spec.replicates < 1:
+            raise ValueError(f"replicates must be >= 1, got {spec.replicates}")
+        return spec
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
+class BootstrapResult(NamedTuple):
     statistic: BootstrapStatistic
     point: float
     se_boot: float
@@ -88,19 +93,28 @@ class BootstrapResult:
         }
 
 
+def _float_array(values, arrays: dict) -> np.ndarray:
+    """values as a float array, converted once per distinct object: arrays
+    maps id(values) to (values, array), and holding values keeps its id."""
+    if id(values) not in arrays:
+        arrays[id(values)] = values, np.asarray(values, dtype=float)
+    return arrays[id(values)][1]
+
+
 def _normalize_data(
     data: Union[Sequence[float], tuple[Sequence[float], Sequence[float]]],
     statistic: BootstrapStatistic,
+    arrays: dict,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     if statistic in _TWO_SAMPLE:
         if not (isinstance(data, tuple) and len(data) == 2):
             raise ValueError(f"{statistic.value} needs a (sample_a, sample_b) tuple")
-        a = np.asarray(data[0], dtype=float)
-        b = np.asarray(data[1], dtype=float)
+        a = _float_array(data[0], arrays)
+        b = _float_array(data[1], arrays)
         if a.size < 2 or b.size < 2:
             raise SampleSizeError("both samples need at least 2 observations")
         return a, b
-    a = np.asarray(data, dtype=float)
+    a = _float_array(data, arrays)
     if a.ndim != 1:
         raise ValueError(f"{statistic.value} needs a single flat sample")
     if a.size < 2:
@@ -159,19 +173,25 @@ def _block_statistics(
     b: Optional[np.ndarray],
     children: Sequence[np.random.SeedSequence],
     draws: np.ndarray,
-) -> np.ndarray:
-    """Replicate statistics for one block: group a reads draws [0, n_a),
-    group b draws [n_a, n_a + n_b), as the two `integers` calls of
-    `_replicate` do. Rows with a rejected draw are recomputed by it."""
-    idx, redraw = _bounded_draws(draws[:, : a.size], a.size)
-    stats = a[idx].mean(axis=1)
+    parts: dict,
+    out: np.ndarray,
+) -> None:
+    """Replicate statistics for one block, into out: group a reads draws
+    [0, n_a), group b draws [n_a, n_a + n_b), as the two `integers` calls of
+    `_replicate` do. parts holds the means and rejected-draw rows of each
+    (array, first draw) part, computed once per block. Rows with a rejected
+    draw are recomputed by `_replicate`."""
+    for values, offset in ((a, 0),) if b is None else ((a, 0), (b, a.size)):
+        if (id(values), offset) not in parts:
+            idx, redraw = _bounded_draws(draws[:, offset : offset + values.size], values.size)
+            parts[id(values), offset] = values[idx].mean(axis=1), redraw
+    stats, redraw = parts[id(a), 0]
     if b is not None:
-        idx, redraw_b = _bounded_draws(draws[:, a.size : a.size + b.size], b.size)
-        stats -= b[idx].mean(axis=1)
-        redraw |= redraw_b
+        means_b, redraw_b = parts[id(b), a.size]
+        stats, redraw = stats - means_b, redraw | redraw_b
+    out[:] = stats
     for row in np.flatnonzero(redraw):
-        stats[row] = _replicate(a, b, children[row])
-    return stats
+        out[row] = _replicate(a, b, children[row])
 
 
 def _replicate_statistics(
@@ -179,7 +199,9 @@ def _replicate_statistics(
 ) -> np.ndarray:
     """Replicate statistics, one row per sample: replicate i of every sample
     reads the i-th spawned child of the master seed. Each block of
-    replicates builds its streams once, wide enough for the widest sample."""
+    replicates builds its streams once, wide enough for the widest sample;
+    samples that hold one array at the same draw offset, such as the pairs
+    1:k, share its indices and means."""
     children = np.random.SeedSequence(spec.seed).spawn(spec.replicates)
     width = max(a.size + (0 if b is None else b.size) for a, b in samples)
     words = (width + 1) // 2
@@ -188,8 +210,9 @@ def _replicate_statistics(
     for lo in range(0, spec.replicates, rows):
         block = children[lo : lo + rows]
         draws = _uint32_streams(block, words)
+        parts: dict = {}
         for k, (a, b) in enumerate(samples):
-            out[k, lo : lo + len(block)] = _block_statistics(a, b, block, draws)
+            _block_statistics(a, b, block, draws, parts, out[k, lo : lo + len(block)])
     return out
 
 
@@ -235,8 +258,10 @@ def bootstrap_samples(
 
     Replicate i of every sample uses the same i-th child stream, exactly as
     separate calls would, so each result equals its own call bit for bit.
+    An object passed in several samples is converted and resampled once.
     """
-    data = [_normalize_data(d, statistic) for d in samples]
+    arrays: dict = {}
+    data = [_normalize_data(d, statistic, arrays) for d in samples]
     if not data:
         return []
     stats = _replicate_statistics(data, spec)
@@ -265,8 +290,7 @@ def bootstrap_statistic(
     return bootstrap_samples([data], statistic, spec)[0]
 
 
-@dataclass(frozen=True)
-class RankSumResult:
+class RankSumResult(NamedTuple):
     u_statistic: float
     z_approx: float
     p_two_tailed: float
@@ -288,28 +312,65 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> RankSumResult:
     p-values by well over 0.05). Suited to ordinal data such as
     percentiles, which tend to be heavily tied.
     """
-    x = np.asarray(a, dtype=float)
-    y = np.asarray(b, dtype=float)
-    if x.size == 0 or y.size == 0:
-        raise ValueError("mann_whitney: both samples must be non-empty")
-    n1, n2 = x.size, y.size
-    pooled = np.concatenate([x, y])
-    _, group, counts = np.unique(pooled, return_inverse=True, return_counts=True)
-    # a tie group ends at sorted position cumsum(counts); its midrank is the
-    # mean of the positions it spans
-    midranks = np.cumsum(counts) - (counts - 1) / 2.0
-    r1 = float(midranks[group[:n1]].sum())
-    u1 = r1 - n1 * (n1 + 1) / 2.0
+    return next(mann_whitney_pairs({0: a, 1: b}, [(0, 1)]))
 
-    n = n1 + n2
-    tie_term = float((counts**3 - counts).sum())
-    var_u = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
-    if var_u <= 0:
-        raise DegenerateVarianceError(
-            "mann_whitney: all pooled values are identical; U has zero variance"
-        )
-    dev = u1 - n1 * n2 / 2.0
-    corrected = math.copysign(max(abs(dev) - 0.5, 0.0), dev) if dev else 0.0
-    z = corrected / math.sqrt(var_u)
-    p = 2.0 * (1.0 - normal_cdf(abs(z)))
-    return RankSumResult(u_statistic=u1, z_approx=z, p_two_tailed=min(p, 1.0))
+
+def mann_whitney_pairs(
+    samples: Mapping[Hashable, Sequence[float]], pairs: Sequence[tuple[Hashable, Hashable]]
+) -> Iterator[RankSumResult]:
+    """mann_whitney(samples[a], samples[b]) for each pair (a, b), in order,
+    bit for bit, with each sample's values counted once.
+
+    The pooled values of all the samples are coded once. With c_a(v) the
+    count of value v in a and below_b(v) the count of smaller values in b,
+    2·U = Σ c_a·(2·below_b + c_b), and the pooled tie term
+    Σ (c_a + c_b)³ - (c_a + c_b) is T_a + T_b + 3·Σ c_a·c_b·(c_a + c_b)
+    - n_a - n_b, with T a sample's sum of cubed counts: exact integers.
+    2·below_b + c_b is laid out over all the values once per second sample.
+    The work is done when the first result is asked for; a pair that
+    mann_whitney rejects raises when its own result is reached.
+    """
+    if not pairs:
+        return
+    named = dict.fromkeys(label for pair in pairs for label in pair)
+    labels = {label: k for k, label in enumerate(named)}
+    values = [np.asarray(samples[label], dtype=float) for label in labels]
+    sizes = [v.size for v in values]
+    distinct, code = np.unique(np.concatenate(values), return_inverse=True)
+    d = distinct.size
+    keys, key_counts = np.unique(np.repeat(np.arange(len(sizes)), sizes) * d + code,
+                                 return_counts=True)  # (sample, value) pairs, sorted
+    ends = np.searchsorted(keys, np.arange(1, len(sizes) + 1) * d).tolist()
+    # each sample's values (as codes) and their counts
+    counted = [(keys[lo:hi] % d, key_counts[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    cubes = [int(c @ (c * c)) for _, c in counted]
+    by_second: dict[int, list[int]] = {}
+    for p, (_, b) in enumerate(pairs):
+        by_second.setdefault(labels[b], []).append(p)
+    terms = [None] * len(pairs)  # 2·U, the tie term and the two sizes, per pair
+    for j, group in by_second.items():
+        c_b = np.zeros(d, dtype=np.int64)  # b's count of every value
+        c_b[counted[j][0]] = counted[j][1]
+        weight = 2 * np.cumsum(c_b) - c_b
+        for p in group:
+            i = labels[pairs[p][0]]
+            v, c_a = counted[i]
+            c_b_at = c_b[v]  # b's counts of a's values
+            cross = int((c_a * c_b_at) @ (c_a + c_b_at))
+            ties = cubes[i] + cubes[j] + 3 * cross - sizes[i] - sizes[j]
+            terms[p] = int(c_a @ weight[v]), ties, sizes[i], sizes[j]
+    for twice_u, ties, n1, n2 in terms:
+        if n1 == 0 or n2 == 0:
+            raise ValueError("mann_whitney: both samples must be non-empty")
+        u1 = twice_u / 2
+        n = n1 + n2
+        var_u = n1 * n2 / 12.0 * ((n + 1) - float(ties) / (n * (n - 1)))
+        if var_u <= 0:
+            raise DegenerateVarianceError(
+                "mann_whitney: all pooled values are identical; U has zero variance"
+            )
+        dev = u1 - n1 * n2 / 2.0
+        corrected = math.copysign(max(abs(dev) - 0.5, 0.0), dev) if dev else 0.0
+        z = corrected / math.sqrt(var_u)
+        p = 2.0 * (1.0 - normal_cdf(abs(z)))
+        yield RankSumResult(u_statistic=u1, z_approx=z, p_two_tailed=min(p, 1.0))

@@ -9,8 +9,7 @@ to keep the output testable by string assertion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = ["CiSeries", "CiChartSpec", "render_ci_chart"]
 
@@ -19,22 +18,26 @@ MARGIN_LEFT, MARGIN_RIGHT = 70, 20
 MARGIN_TOP, MARGIN_BOTTOM = 50, 60
 
 
-@dataclass(frozen=True)
-class CiSeries:
+class _CiSeries(NamedTuple):
     label: str
     point: float
     ci_low: float
     ci_high: float
 
-    def __post_init__(self):
-        if not self.ci_low <= self.ci_high:
-            raise ValueError(f"series {self.label!r}: ci_low > ci_high")
-        if not self.ci_low <= self.point <= self.ci_high:
-            raise ValueError(f"series {self.label!r}: point outside its interval")
+
+class CiSeries(_CiSeries):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, label: str, point: float, ci_low: float, ci_high: float):
+        if not ci_low <= ci_high:
+            raise ValueError(f"series {label!r}: ci_low > ci_high")
+        if not ci_low <= point <= ci_high:
+            raise ValueError(f"series {label!r}: point outside its interval")
+        return super().__new__(cls, label, point, ci_low, ci_high)
 
 
-@dataclass(frozen=True)
-class CiChartSpec:
+class CiChartSpec(NamedTuple):
     """Everything needed to draw one chart of estimates with error bars.
 
     reference_line, when set, is drawn dashed across the full plot width

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from itertools import repeat
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .effects import (
     SummaryStats,
@@ -24,7 +24,7 @@ from .effects import (
     two_sample_prop_z,
     two_sample_welch_t,
 )
-from .resampling import mann_whitney
+from .resampling import mann_whitney_pairs
 
 __all__ = [
     "Cell",
@@ -39,8 +39,7 @@ P_FLOOR = 5e-5  # below this, display "<.0001"
 PERCENT_NOTE = "Numbers are multiplied by 100 to convert them into percentages"
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One table cell: raw value plus how many decimals to display.
 
     precision None formats integers as integers; kind "p" applies the
@@ -66,19 +65,24 @@ class Cell:
 NA = Cell(None)
 
 
-@dataclass
 class ReportTable:
-    title: str
-    row_labels: list[str]
-    col_labels: list[str]
-    cells: list[list[Cell]]  # indexed [row][col]
-    footnotes: list[str] = field(default_factory=list)
+    """A titled grid of cells, indexed [row][col]. Each cell is formatted
+    once, into texts (the same grid), which every rendering reads."""
+
+    def __init__(self, title: str, row_labels: list[str], col_labels: list[str],
+                 cells: list[list[Cell]], footnotes: Sequence[str] = ()):
+        self.title = title
+        self.row_labels = row_labels
+        self.col_labels = col_labels
+        self.cells = cells
+        self.footnotes = list(footnotes)
+        self.texts = [[c.display() for c in row] for row in cells]
 
     def to_tsv(self) -> str:
         out = io.StringIO()
         out.write("statistical_measure\t" + "\t".join(self.col_labels) + "\n")
-        for label, row in zip(self.row_labels, self.cells):
-            out.write(label + "\t" + "\t".join(c.display() for c in row) + "\n")
+        for label, row in zip(self.row_labels, self.texts):
+            out.write(label + "\t" + "\t".join(row) + "\n")
         return out.getvalue()
 
     def to_json_dict(self) -> dict:
@@ -89,9 +93,9 @@ class ReportTable:
                 {
                     "label": label,
                     "values": [c.value for c in row],
-                    "display": [c.display() for c in row],
+                    "display": list(texts),
                 }
-                for label, row in zip(self.row_labels, self.cells)
+                for label, row, texts in zip(self.row_labels, self.cells, self.texts)
             ],
             "footnotes": self.footnotes,
         }
@@ -99,10 +103,7 @@ class ReportTable:
     def to_text(self) -> str:
         """Fixed-width rendering for the terminal."""
         headers = ["Statistical measure"] + self.col_labels
-        rows = [
-            [label] + [c.display() for c in row]
-            for label, row in zip(self.row_labels, self.cells)
-        ]
+        rows = [[label] + texts for label, texts in zip(self.row_labels, self.texts)]
         widths = [
             max(len(headers[j]), *(len(r[j]) for r in rows)) for j in range(len(headers))
         ]
@@ -133,7 +134,7 @@ def _table(
         row_labels=[label for label, _ in rows],
         col_labels=cols,
         cells=[[cell(*result) for result in results] for _, cell in rows],
-        footnotes=list(footnotes),
+        footnotes=footnotes,
     )
 
 
@@ -184,13 +185,15 @@ def compare_table(
     """Pairwise mean-difference table; pair (a, b) reports statistic(a) - statistic(b)."""
     labels = dict.fromkeys(label for pair in pairs for label in pair)
     stats = {label: summarize(samples[label]) for label in labels}
+    # each pair's Mann-Whitney result is taken after its t tests, so an error
+    # stops the table at the same pair and test as a per-pair call would
+    rank_sums = mann_whitney_pairs(samples, pairs) if include_mann_whitney else repeat(None)
     results = []
     for a, b in pairs:
         sa, sb = stats[a], stats[b]
         r = two_sample_pooled_t(sa, sb, ci_level=ci_level)
         w = two_sample_welch_t(sa, sb, ci_level=ci_level) if include_welch else None
-        mw = mann_whitney(samples[a], samples[b]) if include_mann_whitney else None
-        results.append((r, w, mw))
+        results.append((r, w, next(rank_sums)))
     rows = [
         ("Difference between means", lambda r, w, mw: Cell(r.estimate)),
         ("Standard deviation (pooled)", lambda r, w, mw: Cell(r.pooled_sd)),

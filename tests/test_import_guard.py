@@ -1,5 +1,6 @@
 """Importing the package or its command line must not load scipy: the
-kernels are pure Python, and scipy.stats alone costs about 0.8 s."""
+kernels are pure Python, and scipy.stats alone costs about 0.8 s. Nor
+dataclasses; the value types that validate their fields still do so."""
 
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from pct_impact import BootstrapSpec, CiMethod, CiSeries, PublicationRecord, SummaryStats
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -32,3 +35,34 @@ def test_import_loads_no_scipy(module):
         f"import sys, {module}; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     ) == "[]"
+
+
+def test_cli_import_skips_dataclasses():
+    # the value types are NamedTuples, which are cheaper to build at every
+    # process start than dataclasses; numpy alone does not load the module
+    assert _fresh_import(
+        "import sys, numpy; a = 'dataclasses' in sys.modules; import pct_impact.cli; "
+        "print(a, 'dataclasses' in sys.modules)"
+    ) == "False False"
+
+
+@pytest.mark.parametrize(
+    "build, good, bad",
+    [
+        (PublicationRecord, ("p", "i", 2001, ("A",), 1, None), ("p", "i", 2001, ("A",), -1)),
+        (SummaryStats, (4, 50.0, 2.0, 1.0), (4, 50.0, 2.0, 3.0)),
+        (BootstrapSpec, (10, 0, CiMethod.PERCENTILE), (0, 0)),
+        (CiSeries, ("x", 1.0, 0.0, 2.0), ("x", 3.0, 0.0, 2.0)),
+    ],
+)
+def test_validated_value_types(build, good, bad):
+    value = build(*good)
+    assert value == good and hash(value) == hash(good)  # a tuple of its fields
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    with pytest.raises(AttributeError):
+        setattr(value, type(value)._fields[0], good[0])
+    with pytest.raises(ValueError):
+        build(*bad)
+    with pytest.raises(ValueError):  # _replace builds through _make
+        value._make(bad + good[len(bad):])

@@ -226,11 +226,11 @@ def constructed(monkeypatch):
     """Counts the objects of the per-record API built while the test runs."""
     counts = Counter()
     for cls in (PublicationRecord, PercentileAssignment, FractionalTopShare):
-        def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-            counts[_name] += 1
-            _init(self, *args, **kwargs)
+        def counting_new(new_cls, *args, _new=cls.__new__, **kwargs):
+            counts[new_cls.__name__] += 1
+            return _new(new_cls, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counting_init)
+        monkeypatch.setattr(cls, "__new__", counting_new)
     return counts
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from pct_impact.effects import summarize, two_sample_pooled_t
 from pct_impact.errors import DegenerateVarianceError
-from pct_impact.kernels import t_quantile
+from pct_impact.kernels import normal_cdf, t_quantile
 from pct_impact.resampling import (
     BootstrapResult,
     BootstrapSpec,
@@ -22,6 +23,7 @@ from pct_impact.resampling import (
     bootstrap_samples,
     bootstrap_statistic,
     mann_whitney,
+    mann_whitney_pairs,
 )
 
 
@@ -204,13 +206,19 @@ def bootstrap_cases(draw):
         seed=draw(st.integers(0, 2**32 - 1)),
         ci_method=draw(st.sampled_from(list(CiMethod))),
     )
-    data = []
+    data, drawn = [], []  # drawn: the sample objects so far, which a later sample may reuse
+
+    def side():
+        if drawn and draw(st.booleans()):
+            return draw(st.sampled_from(drawn))
+        drawn.append(sample(draw, statistic, draw(st.integers(2, 600))))
+        return drawn[-1]
+
     for _ in range(draw(st.integers(1, 3))):
-        a = sample(draw, statistic, draw(st.integers(2, 600)))
         if statistic in (BootstrapStatistic.MEAN_DIFF, BootstrapStatistic.PROP_DIFF):
-            data.append((a, sample(draw, statistic, draw(st.integers(2, 600)))))
+            data.append((side(), side()))
         else:
-            data.append(a)
+            data.append(side())
     return statistic, spec, data
 
 
@@ -238,6 +246,19 @@ class TestBlockKernelEquivalence:
         assert 0 < hit.sum() < spec.replicates
         got = bootstrap_statistic((a, b), BootstrapStatistic.MEAN_DIFF, spec)
         assert got == reference_bootstrap((a, b), BootstrapStatistic.MEAN_DIFF, spec)
+        # in a batch, a's indices and means are shared by every pair that
+        # starts with the object a, rejected rows included; a copy of a, or
+        # a list of its values, is converted and resampled on its own
+        c = rng.uniform(0, 100, 300)
+        pairs = [(a, b), (a, c), (a.copy(), b), (b, a), (a, b), (c, a.tolist())]
+        batch = bootstrap_samples(pairs, BootstrapStatistic.MEAN_DIFF, spec)
+        for pair, result in zip(pairs, batch, strict=True):
+            assert result == bootstrap_statistic(pair, BootstrapStatistic.MEAN_DIFF, spec)
+        assert batch[0] == got
+        singles = [a, a.tolist(), a, b]
+        batch = bootstrap_samples(singles, BootstrapStatistic.MEAN, spec)
+        for one, result in zip(singles, batch, strict=True):
+            assert result == reference_bootstrap(one, BootstrapStatistic.MEAN, spec)
 
     def test_empty_batch(self):
         assert bootstrap_samples([], BootstrapStatistic.MEAN, BootstrapSpec(10, 0)) == []
@@ -324,6 +345,86 @@ class TestBootstrapAccuracy:
             "ci_low", "ci_high", "replicates", "seed",
         }
         assert d["statistic"] == "mean" and d["seed"] == 12
+
+
+def midrank_mann_whitney(a, b):
+    """The per-pair Mann-Whitney test by pooled midranks: U, z and p as the
+    one-pair implementation computed them before the rank sums were shared
+    between pairs."""
+    x = np.asarray(a, dtype=float)
+    y = np.asarray(b, dtype=float)
+    if x.size == 0 or y.size == 0:
+        raise ValueError("mann_whitney: both samples must be non-empty")
+    n1, n2 = x.size, y.size
+    _, group, counts = np.unique(np.concatenate([x, y]), return_inverse=True, return_counts=True)
+    midranks = np.cumsum(counts) - (counts - 1) / 2.0
+    u1 = float(midranks[group[:n1]].sum()) - n1 * (n1 + 1) / 2.0
+    n = n1 + n2
+    tie_term = float((counts**3 - counts).sum())
+    var_u = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
+    if var_u <= 0:
+        raise DegenerateVarianceError(
+            "mann_whitney: all pooled values are identical; U has zero variance"
+        )
+    dev = u1 - n1 * n2 / 2.0
+    corrected = math.copysign(max(abs(dev) - 0.5, 0.0), dev) if dev else 0.0
+    z = corrected / math.sqrt(var_u)
+    return u1, z, min(2.0 * (1.0 - normal_cdf(abs(z))), 1.0)
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def rank_sum_cases(draw):
+    """Samples over a few shared values (heavy ties, and samples made of
+    one value), and pairs that share sides, repeat, reverse or pair a
+    sample with itself."""
+    pool = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=5))
+    samples = {
+        label: [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1),
+                                               min_size=1, max_size=30))]
+        for label in "abcde"[: draw(st.integers(1, 5))]
+    }
+    side = st.sampled_from(sorted(samples))
+    pairs = draw(st.lists(st.tuples(side, side), min_size=1, max_size=12))
+    return samples, pairs
+
+
+class TestMannWhitneyPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(rank_sum_cases())
+    def test_matches_per_pair_midranks(self, case):
+        samples, pairs = case
+        results = mann_whitney_pairs(samples, pairs)
+        for a, b in pairs:
+            try:
+                want = midrank_mann_whitney(samples[a], samples[b])
+            except DegenerateVarianceError as exc:
+                with pytest.raises(DegenerateVarianceError, match=re.escape(str(exc))):
+                    next(results)
+                return
+            assert bits(next(results)) == bits(want)
+            assert bits(mann_whitney(samples[a], samples[b])) == bits(want)
+        assert next(results, None) is None
+
+    def test_degenerate_pair_raises_at_its_turn(self):
+        samples = {"x": [1.0, 2.0, 2.0], "c": [5.0, 5.0], "d": [5.0]}
+        results = mann_whitney_pairs(samples, [("x", "c"), ("x", "x"), ("c", "d"), ("x", "d")])
+        assert bits(next(results)) == bits(midrank_mann_whitney([1.0, 2.0, 2.0], [5.0, 5.0]))
+        assert next(results).z_approx == 0.0  # a sample paired with itself
+        with pytest.raises(DegenerateVarianceError, match="all pooled values are identical"):
+            next(results)
+
+    def test_empty_sample_raises_at_its_turn(self):
+        results = mann_whitney_pairs({"x": [1.0, 2.0], "e": []}, [("x", "x"), ("e", "x")])
+        next(results)
+        with pytest.raises(ValueError, match="both samples must be non-empty"):
+            next(results)
+
+    def test_no_pairs(self):
+        assert list(mann_whitney_pairs({}, [])) == []
 
 
 class TestMannWhitney:
