@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, IngestionConfig, filter_years, parse_records, write_rejects_report
+from .data import Dataset, filter_years, parse_records, write_rejects_report
 from .effects import summarize
 from .errors import CitationImpactError, ConfigurationError, UnknownInstitutionError
 from .percentiles import (
@@ -247,7 +247,7 @@ def _load_dataset(cfg: AnalysisConfig) -> Dataset:
     if not path.exists():
         raise ConfigurationError(f"input file not found: {path}")
     with open(path, "rb") as fh:
-        dataset, rejects = parse_records(fh, IngestionConfig())
+        dataset, rejects = parse_records(fh)
     if rejects:
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

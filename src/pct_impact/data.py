@@ -6,7 +6,7 @@ citations[,inv_percentile]``. A paper with several subject categories may
 appear as repeated rows sharing an id or carry a single ``|``-separated
 category list; both spellings parse to one record. Malformed rows are
 collected into a rejects report instead of aborting the run, unless their
-fraction exceeds a configurable threshold.
+fraction exceeds a threshold, 10% unless the caller passes another.
 
 A Dataset stores its papers as columns, one entry per paper in input
 order: ids, institution labels, years, category tuples, citation counts
@@ -53,10 +53,8 @@ __all__ = [
     "ReferenceSetKey",
     "SetMembership",
     "Dataset",
-    "IngestionConfig",
     "RejectedRow",
     "parse_records",
-    "serialize_dataset",
     "write_rejects_report",
     "filter_years",
     "group_reference_sets",
@@ -64,7 +62,6 @@ __all__ = [
 ]
 
 REQUIRED_COLUMNS = ("id", "institution", "pub_year", "category", "citations")
-OPTIONAL_COLUMNS = ("inv_percentile",)
 _MAX_CITATIONS = 2**63 - 1  # citation counts are held in an int64 column
 
 
@@ -151,8 +148,7 @@ class Dataset:
     """Papers as columns, one entry per paper in input order.
 
     citations is an int64 array; inv_percentiles a float64 array holding
-    NaN where no percentile was supplied. Build one with parse_records or
-    from_records.
+    NaN where no percentile was supplied. parse_records builds one.
     """
 
     def __init__(self, ids: tuple[str, ...], institution_labels: tuple[str, ...],
@@ -164,20 +160,6 @@ class Dataset:
         self.categories = categories
         self.citations = citations
         self.inv_percentiles = inv_percentiles
-
-    @classmethod
-    def from_records(cls, records: Iterable[PublicationRecord]) -> "Dataset":
-        records = tuple(records)
-        dataset = cls(
-            ids=tuple(r.id for r in records),
-            institution_labels=tuple(r.institution for r in records),
-            years=tuple(r.pub_year for r in records),
-            categories=tuple(r.categories for r in records),
-            citations=np.array([r.citations for r in records], dtype=np.int64),
-            inv_percentiles=np.array([r.inv_percentile for r in records], dtype=float),
-        )
-        dataset.records = records  # keep the caller's objects
-        return dataset
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -200,14 +182,6 @@ class Dataset:
             map(PublicationRecord, self.ids, self.institution_labels, self.years,
                 self.categories, self.citations.tolist(), pcts)
         )
-
-    @property
-    def institutions(self) -> frozenset[str]:
-        return frozenset(self.institution_labels)
-
-    @property
-    def year_range(self) -> tuple[int, int]:
-        return (min(self.years), max(self.years))
 
     @cached_property
     def set_membership(self) -> SetMembership:
@@ -257,12 +231,6 @@ class Dataset:
         )
 
 
-class IngestionConfig(NamedTuple):
-    """Knobs for CSV parsing; reject_threshold is a fraction of data rows."""
-
-    reject_threshold: float = 0.10
-
-
 class RejectedRow(NamedTuple):
     row: int  # physical line number in the source file
     reason: str
@@ -304,12 +272,12 @@ def _header_columns(header: Sequence[str]) -> tuple[list[int], Optional[int], in
 
 def parse_records(
     source: Union[IO[bytes], IO[str], bytes, str],
-    config: IngestionConfig = IngestionConfig(),
+    reject_threshold: float = 0.10,
 ) -> tuple[Dataset, list[RejectedRow]]:
     """Parse the CSV contract into a Dataset plus a rejects report.
 
     Raises ConfigurationError when a required column is missing,
-    RejectThresholdError when more than config.reject_threshold of the
+    RejectThresholdError when more than reject_threshold (a fraction) of the
     data rows fail validation, and DataError when the input is not UTF-8
     or not CSV the csv module can read. Individual bad rows never abort
     the run below that threshold; they are returned with line numbers and
@@ -319,9 +287,9 @@ def parse_records(
     """
     text = _read_text(source)
     plain = _plain_fields(text)
-    parsed = None if plain is None else _parse_columns(*plain, None, config)
+    parsed = None if plain is None else _parse_columns(*plain, None, reject_threshold)
     if parsed is None:  # not plain, or a field over csv.field_size_limit()
-        parsed = _parse_columns(*_csv_fields(text), config)
+        parsed = _parse_columns(*_csv_fields(text), reject_threshold)
     return parsed
 
 
@@ -469,7 +437,7 @@ def _reject_reason(row: Sequence[str], required: Sequence[int], i_pct: Optional[
 
 def _parse_columns(
     names: list[str], fields: list[str], lines: Optional[Sequence[int]],
-    config: IngestionConfig,
+    reject_threshold: float,
 ) -> Optional[tuple[Dataset, list[RejectedRow]]]:
     """parse_records over a header's fields and the body's fields in the
     layout of _plain_fields; lines holds the line on which each data row
@@ -565,22 +533,22 @@ def _parse_columns(
         for i in dropped:
             keep[i] = 0
         records = [list(compress(column, keep)) for column in records]
-    return _dataset(records, [rejects[i] for i in sorted(rejects)], n, config)
+    return _dataset(records, [rejects[i] for i in sorted(rejects)], n, reject_threshold)
 
 
 def _dataset(
     records: Sequence[Sequence], rejects: list[RejectedRow], n_rows: int,
-    config: IngestionConfig,
+    reject_threshold: float,
 ) -> tuple[Dataset, list[RejectedRow]]:
     """The Dataset of the records' ids, institutions, years, categories,
     citations and percentiles, with the rejects of n_rows data rows.
     Raises EmptyDatasetError or RejectThresholdError as parse_records."""
     if n_rows == 0:
         raise EmptyDatasetError("input contains a header but no data rows")
-    if len(rejects) / n_rows > config.reject_threshold:
+    if len(rejects) / n_rows > reject_threshold:
         raise RejectThresholdError(
             f"{len(rejects)} of {n_rows} rows rejected, above the "
-            f"{config.reject_threshold:.0%} threshold"
+            f"{reject_threshold:.0%} threshold"
         )
     ids, insts, years, cats, cits, pcts = records
     n = len(ids)
@@ -598,24 +566,6 @@ def _dataset(
         ),
     )
     return dataset, rejects
-
-
-def _format_pct(p: float) -> str:
-    return "" if math.isnan(p) else format(p, ".10g")
-
-
-def serialize_dataset(dataset: Dataset) -> str:
-    """Canonical CSV form: fixed column order, one row per record,
-    categories joined with '|'. parse -> serialize is idempotent."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(REQUIRED_COLUMNS) + list(OPTIONAL_COLUMNS))
-    writer.writerows(zip(
-        dataset.ids, dataset.institution_labels, dataset.years,
-        map("|".join, dataset.categories), dataset.citations.tolist(),
-        map(_format_pct, dataset.inv_percentiles.tolist()),
-    ))
-    return out.getvalue()
 
 
 def write_rejects_report(rejects: Sequence[RejectedRow], stream: IO[str]) -> None:

@@ -126,23 +126,6 @@ class MeanTestResult(NamedTuple):
     method: str
     pooled_sd: Optional[float] = None
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "estimate": self.estimate,
-            "se": self.se,
-            "t": self.statistic_t,
-            "df": self.df,
-            "p": self.p_two_tailed,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "d": self.effect_d,
-            "magnitude": self.magnitude.value,
-            "method": self.method,
-        }
-        if self.pooled_sd is not None:
-            out["pooled_sd"] = self.pooled_sd
-        return out
-
 
 class ProportionTestResult(NamedTuple):
     """Outcome of a one- or two-sample large-sample proportion z test."""
@@ -156,19 +139,6 @@ class ProportionTestResult(NamedTuple):
     effect_h: float
     magnitude: Magnitude
     method: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "se": self.se,
-            "z": self.statistic_z,
-            "p": self.p_two_tailed,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "h": self.effect_h,
-            "magnitude": self.magnitude.value,
-            "method": self.method,
-        }
 
 
 def _upper_quantile(test: str, ci_level: float) -> float:

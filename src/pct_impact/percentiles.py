@@ -8,8 +8,8 @@ are resolved by fractional counting so the set-level share is exactly x%.
 
 The rank, percentile and tie-weight rules live in _rank_in_sets, which
 handles any number of reference sets in one numpy pass;
-assign_best_percentiles runs it over a whole dataset and percentile_rank,
-rank_ascending and rank_descending over a single set.
+assign_best_percentiles runs it over a whole dataset and percentile_rank
+over a single set.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ __all__ = [
     "BestPercentiles",
     "FractionalTopShare",
     "OutlierSensitivityReport",
-    "rank_ascending",
-    "rank_descending",
     "percentile_rank",
     "classify_top_x",
     "fractional_top_share",
@@ -142,29 +140,6 @@ def _rank_in_sets(
     )
 
 
-def _rank_one_set(citations: Sequence[int], scheme: PercentileScheme, x: float) -> _SetRanks:
-    values = np.asarray(citations)
-    return _rank_in_sets(np.zeros(len(values), dtype=np.int64), values, 1, scheme, x)
-
-
-def rank_ascending(citations: Sequence[int]) -> list[int]:
-    """Rank papers by ascending citation count, ties at the maximum rank.
-
-    A tie group occupying sorted positions j..k all receive rank k, so a
-    tied paper never ranks better than the last paper it ties with.
-    """
-    if not citations:
-        raise ValueError("rank_ascending: empty citation list")
-    return _rank_one_set(citations, PercentileScheme(), 10.0).rank.tolist()
-
-
-def rank_descending(citations: Sequence[int]) -> list[int]:
-    """Rank papers by descending citation count, ties at the maximum rank."""
-    if not citations:
-        raise ValueError("rank_descending: empty citation list")
-    return _rank_one_set(citations, PercentileScheme(inverted=True), 10.0).rank.tolist()
-
-
 def percentile_rank(
     citations: Sequence[int],
     scheme: PercentileScheme,
@@ -174,18 +149,19 @@ def percentile_rank(
     """Assign a percentile to every paper of one reference set.
 
     The rank i is ascending (or descending when inverted) with max-tie
-    resolution; the percentile is 100 (i-1)/n or 100 i/n depending on the
-    formula. Fractional top-x weights are computed for the same set so the
+    resolution: a tie group at sorted positions j..k all get rank k. The
+    percentile is 100 (i-1)/n or 100 i/n depending on the formula.
+    Fractional top-x weights are computed for the same set so the
     assignment rows carry everything downstream indicators need.
     """
-    if not citations:
-        raise ValueError("percentile_rank: empty citation list")
     n = len(citations)
+    if n == 0:
+        raise ValueError("percentile_rank: empty citation list")
     if ids is None:
         ids = [str(i) for i in range(n)]
     elif len(ids) != n:
         raise ValueError("percentile_rank: ids and citations lengths differ")
-    ranked = _rank_one_set(citations, scheme, x)
+    ranked = _rank_in_sets(np.zeros(n, dtype=np.int64), np.asarray(citations), 1, scheme, x)
     return [
         PercentileAssignment(paper_id=pid, rank=i, percentile=pct, tied_with=t, top_x_weight=w)
         for pid, i, pct, t, w in zip(
@@ -273,7 +249,7 @@ def fractional_top_share(citations: Sequence[int], x: float) -> FractionalTopSha
     The threshold is the citation count at descending position
     ceil(n*x/100). Computed in exact rational arithmetic.
     """
-    if not citations:
+    if len(citations) == 0:
         raise ValueError("fractional_top_share: empty citation list")
     threshold, count_above, tie_count, w_tie = _top_x_split(sorted(citations), x)
     n = len(citations)
@@ -293,7 +269,7 @@ def mncs(citations: Sequence[float], ref_means: Sequence[float]) -> float:
     """Mean normalized citation score: average of citations / field mean."""
     if len(citations) != len(ref_means):
         raise ValueError("mncs: citations and ref_means lengths differ")
-    if not citations:
+    if len(citations) == 0:
         raise ValueError("mncs: empty sample")
     bad = [m for m in ref_means if m <= 0]
     if bad:
@@ -401,7 +377,7 @@ def outlier_sensitivity(
         raise ValueError("outlier_sensitivity: need at least 2 papers")
     if reference_citations is None:
         reference_citations = citations
-    elif not reference_citations:
+    elif len(reference_citations) == 0:
         raise ValueError("outlier_sensitivity: empty reference_citations")
     if ref_means is None:
         mean_ref = math.fsum(reference_citations) / len(reference_citations)

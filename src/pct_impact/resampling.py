@@ -295,13 +295,6 @@ class RankSumResult(NamedTuple):
     z_approx: float
     p_two_tailed: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "u": self.u_statistic,
-            "z": self.z_approx,
-            "p": self.p_two_tailed,
-        }
-
 
 def mann_whitney(a: Sequence[float], b: Sequence[float]) -> RankSumResult:
     """Mann-Whitney rank-sum test via the normal approximation.

@@ -13,7 +13,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from pct_impact.data import (
     Dataset,
-    IngestionConfig,
     RejectedRow,
     _categories,
     _check_record,
@@ -25,7 +24,7 @@ from pct_impact.errors import ConfigurationError
 
 
 def _parse_rows(
-    text: str, config: IngestionConfig = IngestionConfig()
+    text: str, reject_threshold: float = 0.10
 ) -> tuple[Dataset, list[RejectedRow]]:
     """parse_records through csv.reader, one row at a time."""
     reader = csv.reader(io.StringIO(text))
@@ -34,7 +33,7 @@ def _parse_rows(
     if header is None:
         raise ConfigurationError("input is empty; expected a CSV header")
     records, rejects, n_rows = _row_loop(header, rows, lambda: reader.line_num)
-    return _dataset(records, rejects, n_rows, config)
+    return _dataset(records, rejects, n_rows, reject_threshold)
 
 
 def _row_loop(

@@ -1,0 +1,137 @@
+"""Properties of whole command line runs on small generated CSV files.
+
+Each example writes one dataset in two spellings, csv.writer's minimal
+quoting and every field quoted, and runs one subcommand in process on the
+first spelling twice and on the second once. Labels and ids may hold ",",
+'"' or ":", citations may be all zero or all tied, an inv_percentile column
+may be full or partial, and the rejected rows may sit right at the 10%
+threshold or just above it.
+"""
+
+import csv
+import io
+import math
+import tempfile
+from collections import defaultdict
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from pct_impact import cli
+
+LABELS = ["A", "B,C", 'D"E', "F:G", "école"]
+ID_MARKS = ["", ",", '"', ":"]
+TOP_X = ["0.001", "0.5", "10", "50", "99.5", "99.999"]
+HEADER = ["id", "institution", "pub_year", "category", "citations", "inv_percentile"]
+
+
+def _quoted(label):
+    """A --pairs side that names label whatever it holds."""
+    return '"' + label.replace('"', '""') + '"'
+
+
+@st.composite
+def runs(draw, command):
+    """A dataset's rows, whether it starts with a byte-order mark, and the
+    arguments of the subcommand."""
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(1, 24))
+    citations = draw(st.sampled_from(["zero", "tied", "mixed"]))
+    two_categories = draw(st.booleans())
+    pct = draw(st.sampled_from(["absent", "full", "partial"]))
+    rows = []
+    for k in range(n):
+        given_pct = pct == "full" or pct == "partial" and draw(st.booleans())
+        rows.append([
+            f"p{k}{draw(st.sampled_from(ID_MARKS))}",
+            labels[k] if k < len(labels) else draw(st.sampled_from(labels)),
+            draw(st.sampled_from(["2001", "2002"])),
+            "X|Y" if two_categories and draw(st.booleans()) else draw(st.sampled_from("XY")),
+            {"zero": "0", "tied": "5", "mixed": str(draw(st.integers(0, 9)))}[citations],
+            draw(st.sampled_from(["0", "10", "37.5", "100"])) if given_pct else "",
+        ])
+    # n // 9 rejects of n + n // 9 rows are at most 10%; one more is above
+    for j in range(draw(st.sampled_from([0, n // 9, n // 9 + 1]))):
+        bad = [f"bad{j}", labels[0], "2001", "X", "-1", ""]
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+
+    argv = [command, "--top-x", draw(st.sampled_from(TOP_X)), "--format", "tsv,json,svg",
+            "--scheme", draw(st.sampled_from(["common", "incites"]))]
+    argv += [flag for flag in ("--inverted", "--zero-adjust") if draw(st.booleans())]
+    pairs = f"{_quoted(labels[0])}:{_quoted(labels[-1])}"
+    if command in ("compare", "topcompare", "bootstrap"):
+        argv += ["--pairs", pairs]
+    if command == "compare":
+        argv += ["--welch", "--mann-whitney"]
+    if command in ("topshare", "topcompare", "bootstrap"):
+        argv += ["--counting", draw(st.sampled_from(["binary", "fractional"]))]
+    if command == "bootstrap":
+        statistic = draw(st.sampled_from(["mean", "mean-diff", "proportion", "prop-diff"]))
+        argv += ["--statistic", statistic, "--institution", labels[0],
+                 "--bootstrap-reps", "20"]
+    return rows, draw(st.booleans()), argv
+
+
+def _spelling(rows, bom, quoting):
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=quoting, lineterminator="\n")
+    writer.writerow(HEADER)
+    writer.writerows(rows)
+    return (("\ufeff" if bom else "") + out.getvalue()).encode("utf-8")
+
+
+def _run(root, name, data, argv):
+    """Exit code, stdout and stderr with the run's directory named <work>,
+    and each output file's bytes."""
+    work = root / name
+    out_dir = work / "out"
+    work.mkdir()
+    (work / "in.csv").write_bytes(data)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli.main(argv + ["--input", str(work / "in.csv"), "--out-dir", str(out_dir)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    text = (stdout.getvalue() + stderr.getvalue()).replace(str(work), "<work>")
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))}
+    return code, text, files
+
+
+def _table(name, data):
+    text = data.decode("utf-8")
+    if name.endswith(".tsv"):
+        return [line.split("\t") for line in text.splitlines()]
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_cli_runs(command, data):
+    rows, bom, argv = data.draw(runs(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        minimal = _spelling(rows, bom, csv.QUOTE_MINIMAL)
+        plain = _run(root, "plain", minimal, argv)
+        assert _run(root, "rerun", minimal, argv) == plain
+        assert _run(root, "quoted", _spelling(rows, bom, csv.QUOTE_ALL), argv) == plain
+    code, _, files = plain
+    event(f"exit {code}")
+
+    for name, data in files.items():
+        if name.endswith((".csv", ".tsv")):
+            header, *body = _table(name, data)
+            assert all(len(line) == len(header) for line in body), name
+
+    if "percentiles.csv" in files and all("|" not in row[3] for row in rows):
+        x = float(argv[argv.index("--top-x") + 1])
+        weights = defaultdict(list)
+        for line in _table("percentiles.csv", files["percentiles.csv"])[1:]:
+            weights[line[1]].append(float(line[5]))
+        for set_weights in weights.values():
+            n = len(set_weights)
+            # each weight is written to 6 significant digits
+            assert math.isclose(math.fsum(set_weights), n * x / 100, rel_tol=1e-5), weights

@@ -9,7 +9,6 @@ import pytest
 
 from pct_impact.data import (
     Dataset,
-    IngestionConfig,
     PublicationRecord,
     ReferenceSetKey,
     RejectedRow,
@@ -19,7 +18,6 @@ from pct_impact.data import (
     group_reference_sets,
     parse_records,
     select_institution_sample,
-    serialize_dataset,
     write_rejects_report,
 )
 from pct_impact.errors import (
@@ -55,7 +53,7 @@ class TestParse:
     def test_negative_citations_rejected(self):
         ds, rejects = parse_records(
             HEADER + "p1,i,2001,A,-3,\n" + "p2,i,2001,A,4,\n",
-            IngestionConfig(reject_threshold=0.6),
+            reject_threshold=0.6,
         )
         assert len(rejects) == 1
         assert rejects[0].row == 2 and "citations" in rejects[0].reason
@@ -64,7 +62,7 @@ class TestParse:
     def test_out_of_range_percentile_rejected(self):
         _, rejects = parse_records(
             HEADER + "p1,i,2001,A,1,140\n" + "p2,i,2001,A,1,10\n",
-            IngestionConfig(reject_threshold=0.6),
+            reject_threshold=0.6,
         )
         assert len(rejects) == 1
 
@@ -95,7 +93,7 @@ class TestParse:
     def test_conflicting_duplicate_rejected(self):
         ds, rejects = parse_records(
             HEADER + "p1,i,2001,A,5,\n" + "p1,i,2001,B,6,\n" + "p2,i,2001,A,1,\n",
-            IngestionConfig(reject_threshold=0.5),
+            reject_threshold=0.5,
         )
         assert len(rejects) == 1 and "conflicts" in rejects[0].reason
         assert ds.records[0].categories == ("A",)
@@ -128,7 +126,7 @@ class TestParse:
     )
     def test_reject_reasons(self, row, reason):
         ds, rejects = parse_records(
-            HEADER + "p1,i,2001,A,5,\n" + row + "\n", IngestionConfig(reject_threshold=0.6)
+            HEADER + "p1,i,2001,A,5,\n" + row + "\n", reject_threshold=0.6
         )
         assert rejects == [RejectedRow(row=3, reason=reason)]
         assert [r.id for r in ds.records] == ["p1"]
@@ -139,17 +137,17 @@ class TestParse:
 
     def test_blank_lines_are_not_rows(self):
         text = HEADER + "p1,i,2001,A,5,\n\n\n\n" + "q,i,2001,A,-3,\n"
-        ds, rejects = parse_records(text, IngestionConfig(reject_threshold=0.6))
+        ds, rejects = parse_records(text, reject_threshold=0.6)
         assert rejects == [RejectedRow(row=6, reason="citations must be >= 0, got -3")]
         assert [r.id for r in ds.records] == ["p1"]
         # 1 of 2 rows rejected: the three blank lines do not dilute the share
         with pytest.raises(RejectThresholdError, match="1 of 2 rows"):
-            parse_records(text, IngestionConfig(reject_threshold=0.4))
+            parse_records(text, reject_threshold=0.4)
 
     def test_quoted_newline_reports_physical_line(self):
         _, rejects = parse_records(
             HEADER + "p1,i,2001,A,5,\n" + 'q,"i\nj",2001,A,-3,\n',
-            IngestionConfig(reject_threshold=0.6),
+            reject_threshold=0.6,
         )
         assert rejects == [RejectedRow(row=4, reason="citations must be >= 0, got -3")]
 
@@ -165,7 +163,7 @@ class TestParse:
 
     def test_several_faults_report_first_conversion(self):
         _, rejects = parse_records(
-            HEADER + "p1,i,2001,A,5,\n" + ",i,x,A,1,\n", IngestionConfig(reject_threshold=0.6)
+            HEADER + "p1,i,2001,A,5,\n" + ",i,x,A,1,\n", reject_threshold=0.6
         )
         assert [r.reason for r in rejects] == ["invalid literal for int() with base 10: 'x'"]
 
@@ -198,7 +196,7 @@ class TestParse:
         merged, conflict, empty = "p0,1,2002,X,0,97.2984\n", "p0,1,2002,X,1,\n", "q,,2002,X,0,\n"
         for plain in (text, text.replace("\n", "\r\n"), text.rstrip("\n"),
                       text + merged, text + conflict, text + empty):
-            parsed = _parse_columns(*_plain_fields(plain), None, IngestionConfig())
+            parsed = _parse_columns(*_plain_fields(plain), None, 0.10)
             assert parsed == _parse_rows(plain)
         for not_plain in (text + "\n", text.replace(",", '",', 1), text + "q,1,2002,X,0,,\n"):
             assert _plain_fields(not_plain) is None
@@ -213,47 +211,49 @@ class TestParse:
                 k += 1
         ds = _dataset(rows)
         assert len(ds) == 1305
-        assert ds.institutions == frozenset(sizes)
+        assert set(ds.institution_labels) == set(sizes)
         for inst, n in sizes.items():
             assert len(select_institution_sample(ds, inst)) == n
 
     def test_dataset_invariants(self):
         ds = _dataset(["p1,x,2001,A,1,\n", "p2,y,2003,A,1,\n"])
-        assert ds.institutions == frozenset({"x", "y"})
-        assert ds.year_range == (2001, 2003)
+        assert ds.institution_labels == ("x", "y")
+        assert (min(ds.years), max(ds.years)) == (2001, 2003)
 
 
 class TestSerializeRoundTrip:
+    """A messy spelling and the canonical one (fixed column order, one row
+    per paper, categories joined with '|') parse to equal datasets."""
+
     def test_parse_serialize_idempotent(self):
         messy = (
             "institution,id,citations,pub_year,category,inv_percentile\n"
             "i1,p1,5,2001,B,\n"
             "i1,p2,0,2002,A|C,99.5\n"
         )
-        # column order differs from canonical; round-trip must canonicalize
-        ds1, _ = parse_records(messy)
-        canon = serialize_dataset(ds1)
-        ds2, _ = parse_records(canon)
-        assert serialize_dataset(ds2) == canon
-        assert ds2.records == ds1.records
+        canonical = HEADER + "p1,i1,2001,B,5,\n" + "p2,i1,2002,A|C,0,99.5\n"
+        assert parse_records(messy) == parse_records(canonical)
 
     def test_random_round_trips(self):
         rng = random.Random(7)
-        rows = []
+        messy, canonical = [], []
         for i in range(50):
-            cats = "|".join(rng.sample(["A", "B", "C", "D"], rng.randint(1, 3)))
+            cats = rng.sample(["A", "B", "C", "D"], rng.randint(1, 3))
+            inst, year = f"inst{rng.randint(1, 3)}", 2000 + rng.randint(0, 3)
+            cits = rng.randint(0, 400)
             pct = "" if rng.random() < 0.5 else f"{rng.uniform(0, 100):.4f}"
-            rows.append(f"p{i},inst{rng.randint(1, 3)},{2000 + rng.randint(0, 3)},"
-                        f"{cats},{rng.randint(0, 400)},{pct}\n")
-        ds, _ = parse_records(HEADER + "".join(rows))
-        canon = serialize_dataset(ds)
-        ds2, _ = parse_records(canon)
-        assert serialize_dataset(ds2) == canon
+            canonical.append(f"p{i},{inst},{year},{'|'.join(cats)},{cits},{pct}\n")
+            # one row per category, quoted and padded cells, columns reordered
+            messy += [f'"{cits}", {cat} ,{pct},"p{i}",{year},{inst}\n' for cat in cats]
+        messy_header = "citations,category,inv_percentile,id,pub_year,institution\n"
+        assert parse_records(messy_header + "".join(messy)) == parse_records(
+            HEADER + "".join(canonical)
+        )
 
     def test_rejects_report_format(self):
         _, rejects = parse_records(
             HEADER + "p1,i,2001,A,-1,\n" + "p2,i,2001,A,1,\n",
-            IngestionConfig(reject_threshold=0.9),
+            reject_threshold=0.9,
         )
         buf = io.StringIO()
         write_rejects_report(rejects, buf)

@@ -353,17 +353,3 @@ class TestCiOverlap:
         with pytest.raises(ValueError):
             ci_overlap_verdict((2.0, 1.0), (0.0, 1.0))
 
-
-class TestSerialization:
-    def test_mean_result_json_field_names(self):
-        r = one_sample_t(INST2, 50.0)
-        d = r.to_json_dict()
-        for key in ("t", "df", "p", "ci_low", "ci_high", "d", "magnitude", "method"):
-            assert key in d
-        assert d["magnitude"] == "medium"
-
-    def test_proportion_result_json_field_names(self):
-        r = one_sample_prop_z(160, 549, 0.10)
-        d = r.to_json_dict()
-        for key in ("z", "p", "ci_low", "ci_high", "h", "magnitude", "method"):
-            assert key in d

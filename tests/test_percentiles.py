@@ -8,6 +8,7 @@ stays independent of the bisect-based implementation it checks.
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pct_impact.errors import DegenerateReferenceError
@@ -20,8 +21,6 @@ from pct_impact.percentiles import (
     outlier_sensitivity,
     outlier_sensitivity_report,
     percentile_rank,
-    rank_ascending,
-    rank_descending,
 )
 
 # the fictitious 50-paper reference set with ties at the top-10% threshold
@@ -44,33 +43,37 @@ def oracle_percentiles(citations, formula, inverted, zero_adjust):
     return out
 
 
+def ranks(citations, inverted=False):
+    """The rank column of percentile_rank: ascending, or descending when inverted."""
+    return [a.rank for a in percentile_rank(citations, PercentileScheme(inverted=inverted))]
+
+
 class TestRanking:
     def test_strict_ordering(self):
-        assert rank_ascending([5, 1, 3]) == [3, 1, 2]
+        assert ranks([5, 1, 3]) == [3, 1, 2]
 
     def test_tie_takes_maximum_rank(self):
         # the two tie policies would give [1, 1] (min) or [2, 2] (max)
-        assert rank_ascending([2, 2]) == [2, 2]
+        assert ranks([2, 2]) == [2, 2]
 
     def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            rank_ascending([])
-        with pytest.raises(ValueError):
-            rank_descending([])
+        for inverted in (False, True):
+            with pytest.raises(ValueError, match="empty citation list"):
+                ranks([], inverted)
 
     def test_paper_tie_set_top_ranks(self):
-        desc = rank_descending(TIE_SET)
+        desc = ranks(TIE_SET, inverted=True)
         # the three 61-citation papers jointly occupy descending positions 1..3,
         # and under max-tie each reports rank 3
         assert desc[:3] == [3, 3, 3]
         assert all(r > 3 for r in desc[3:])
-        asc = rank_ascending(TIE_SET)
+        asc = ranks(TIE_SET)
         assert asc[:3] == [50, 50, 50]
 
     def test_descending_is_ascending_reversed_for_distinct_values(self):
         values = [9, 4, 7, 1]
         n = len(values)
-        asc, desc = rank_ascending(values), rank_descending(values)
+        asc, desc = ranks(values), ranks(values, inverted=True)
         assert all(a + d == n + 1 for a, d in zip(asc, desc))
 
 
@@ -287,3 +290,25 @@ class TestOutlierSensitivity:
         d = outlier_sensitivity([9, 2, 2], 10.0).to_json_dict()
         assert set(d) == {"n", "dropped_citations", "mncs", "top_share", "threshold_x"}
         assert set(d["mncs"]) == {"full", "without_max", "abs_delta", "rel_delta"}
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("citations", [[0], [7, 0], [61, 58, 58, 1, 0, 0]])
+def test_array_inputs_match_lists(citations, dtype):
+    """numpy arrays are read like lists, a one-element [0] included: an
+    emptiness check must not take the array's truth value."""
+    array = np.array(citations, dtype=dtype)
+    means = [2.5] * len(citations)
+    scheme = PercentileScheme(inverted=True)
+    assert percentile_rank(array, scheme) == percentile_rank(citations, scheme)
+    assert fractional_top_share(array, 10.0) == fractional_top_share(citations, 10.0)
+    assert mncs(array, np.array(means)) == mncs(citations, means)
+    if len(citations) >= 2:
+        assert outlier_sensitivity(array) == outlier_sensitivity(citations)
+        assert outlier_sensitivity(citations, reference_citations=array) == outlier_sensitivity(
+            citations, reference_citations=citations
+        )
+        weights = [float(w) for w in fractional_top_share(citations, 10.0).weights]
+        assert outlier_sensitivity_report(
+            array, np.array(means), np.array(weights)
+        ) == outlier_sensitivity_report(citations, means, weights)

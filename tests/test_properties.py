@@ -7,6 +7,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from pct_impact import cli
 from pct_impact.data import (
     Dataset,
-    IngestionConfig,
     PublicationRecord,
     _plain_fields,
     group_reference_sets,
@@ -204,7 +204,14 @@ def test_best_percentiles_match_brute_force(rows, scheme, x):
         PublicationRecord(f"p{k}", inst, year, tuple(cats), cits)
         for k, (inst, year, cats, cits) in enumerate(rows)
     ]
-    dataset = Dataset.from_records(records)
+    dataset = Dataset(
+        ids=tuple(r.id for r in records),
+        institution_labels=tuple(r.institution for r in records),
+        years=tuple(r.pub_year for r in records),
+        categories=tuple(r.categories for r in records),
+        citations=np.array([r.citations for r in records], dtype=np.int64),
+        inv_percentiles=np.full(len(records), np.nan),
+    )
     got = assign_best_percentiles(dataset, scheme, x)
     want = _brute_force_best(records, scheme, x)
     for k, r in enumerate(records):
@@ -361,9 +368,9 @@ def csv_texts(draw, plain=None):
     return ("\ufeff" if "bom" in faults else "") + text
 
 
-def _parsed(parse, source, config):
+def _parsed(parse, source, reject_threshold):
     try:
-        dataset, rejects = parse(source, config)
+        dataset, rejects = parse(source, reject_threshold)
     except CitationImpactError as exc:
         return type(exc), str(exc)
     return (
@@ -421,10 +428,9 @@ _REPEATED_IDS = (
 def test_parse_matches_row_loop(text, threshold):
     """The column pass and the row loop give the same dataset, NaN positions
     and rejects included, or the same error."""
-    config = IngestionConfig(reject_threshold=threshold)
-    want = _parsed(_parse_rows, text.removeprefix("\ufeff"), config)
-    assert _parsed(parse_records, text, config) == want
-    assert _parsed(parse_records, text.encode("utf-8"), config) == want
+    want = _parsed(_parse_rows, text.removeprefix("\ufeff"), threshold)
+    assert _parsed(parse_records, text, threshold) == want
+    assert _parsed(parse_records, text.encode("utf-8"), threshold) == want
     plain = _plain_fields(text.removeprefix("\ufeff")) is not None
     outcome = want[0].__name__ if len(want) == 2 else f"rejects: {bool(want[-1])}"
     event(f"plain: {plain}, {outcome}")
@@ -457,7 +463,6 @@ def test_plain_and_quoted_spellings_parse_alike(text, threshold):
     assume(_plain_fields(text.removeprefix("\ufeff")) is not None)
     quoted = _quote_all(text)
     assert _plain_fields(quoted.removeprefix("\ufeff")) is None
-    config = IngestionConfig(reject_threshold=threshold)
-    want = _parsed(parse_records, text, config)
-    assert _parsed(parse_records, quoted, config) == want
+    want = _parsed(parse_records, text, threshold)
+    assert _parsed(parse_records, quoted, threshold) == want
     event(want[0].__name__ if len(want) == 2 else f"rejects: {bool(want[-1])}")
