@@ -1,10 +1,13 @@
 """Command line front end.
 
-Subcommands: percentiles, summary, compare, topshare, topcompare,
-robustness, bootstrap. Configuration precedence is CLI flags, then a flat
-key=value config file, then defaults; the PCT_IMPACT_SEED environment
-variable replaces only the built-in seed default. Exit codes: 0 success,
-1 data error, 2 configuration error.
+One parser takes a command word (percentiles, summary, compare, topshare,
+topcompare, robustness, bootstrap), --config FILE and one flag per
+AnalysisConfig field, in any order. Every value is read by one rule per
+field, whether a flag or the flat key=value config file gave it, and
+checked by AnalysisConfig.validate. Precedence is flags, then the config
+file, then defaults; the PCT_IMPACT_SEED environment variable replaces
+only the built-in seed default. Exit codes: 0 success, 1 data error, 2
+configuration error.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .data import Dataset, filter_years, parse_records, write_rejects_report
 from .effects import summarize
-from .errors import CitationImpactError, ConfigurationError, UnknownInstitutionError
+from .errors import ConfigurationError, DataError, UnknownInstitutionError
 from .percentiles import (
     PercentileFormula,
     PercentileScheme,
@@ -36,7 +39,6 @@ from .svgchart import CiChartSpec, CiSeries, render_ci_chart
 from .tables import ReportTable, compare_table, summary_table, topcompare_table, topshare_table
 
 SEED_ENV_VAR = "PCT_IMPACT_SEED"
-FORMATS = ("tsv", "json", "svg")
 
 
 class AnalysisConfig(NamedTuple):
@@ -66,26 +68,19 @@ class AnalysisConfig(NamedTuple):
         if not 0.0 <= self.mu0 <= 100.0:
             raise ConfigurationError(f"mu0 must be in [0, 100], got {self.mu0}")
         if not 0.0 < self.top_x < 100.0:
-            raise ConfigurationError(f"top-x must be in (0, 100), got {self.top_x}")
+            raise ConfigurationError(f"top_x must be in (0, 100), got {self.top_x}")
         if not 0.0 < self.p0 < 1.0:
             raise ConfigurationError(f"p0 must be in (0, 1), got {self.p0}")
         if not 0.0 < self.ci_level < 1.0:
             raise ConfigurationError(f"ci_level must be in (0, 1), got {self.ci_level}")
-        if self.scheme not in ("common", "incites"):
-            raise ConfigurationError(f"scheme must be common or incites, got {self.scheme}")
-        if self.counting not in ("binary", "fractional"):
-            raise ConfigurationError(
-                f"counting must be binary or fractional, got {self.counting}"
-            )
-        if self.ci not in ("normal", "percentile"):
-            raise ConfigurationError(f"ci must be normal or percentile, got {self.ci}")
-        if self.bootstrap_reps < 1:
-            raise ConfigurationError("bootstrap-reps must be >= 1")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        bad = [f for f in self.formats if f not in FORMATS]
-        if bad:
-            raise ConfigurationError(f"unknown format(s): {', '.join(bad)}")
+        for key, allowed in _CHOICES.items():
+            for value in self.formats if key == "format" else [getattr(self, key)]:
+                if value not in allowed:
+                    words = ", ".join(allowed[:-1]) + " or " + allowed[-1]
+                    raise ConfigurationError(f"{key} must be {words}, got {value}")
+        for key in ("bootstrap_reps", "workers"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
 
     @property
     def formats(self) -> list[str]:
@@ -131,15 +126,40 @@ _PAIR_SIDE = re.compile(r'\s*(?:"((?:[^"]|"")*)"|([^,:"][^,:]*|))\s*([,:]|\Z)')
 _BOOL_KEYS = {"inverted", "zero_adjust", "welch", "mann_whitney"}
 _INT_KEYS = {"bootstrap_reps", "seed", "last_year", "workers"}
 _FLOAT_KEYS = {"mu0", "top_x", "p0", "ci_level"}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+# the allowed values of each option that names one of a few; format is a
+# comma list of its values
+_CHOICES = {
+    "scheme": ("common", "incites"),
+    "counting": ("binary", "fractional"),
+    "ci": ("normal", "percentile"),
+    "statistic": ("mean", "mean-diff", "proportion", "prop-diff"),
+    "format": ("tsv", "json", "svg"),
+}
+_HELP = {
+    "inverted": "rank by descending citations; 100 means worst",
+    "zero_adjust": "pin uncited papers to the worst percentile",
+    "pairs": 'a:b[,c:d...]; "quote" a side holding , or :',
+    "ci": "bootstrap CI method",
+    "format": "a comma list of these",
+    "workers": "accepted for compatibility (>= 1); changes nothing",
+}
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(f"cannot parse boolean value {raw!r}")
+def _read_value(key: str, raw: str) -> object:
+    """The value of config key from its text, whether a flag or the config
+    file gave it."""
+    try:
+        if key in _BOOL_KEYS:
+            return _BOOLEANS[raw.strip().lower()]
+        if key in _INT_KEYS:
+            return int(raw)
+        return float(raw) if key in _FLOAT_KEYS else raw
+    except (KeyError, ValueError):
+        kind = ("a boolean" if key in _BOOL_KEYS else
+                "an integer" if key in _INT_KEYS else "a number")
+        raise ConfigurationError(f"{key} must be {kind}, got {raw!r}") from None
 
 
 def read_config_file(path: str) -> dict:
@@ -153,17 +173,9 @@ def read_config_file(path: str) -> dict:
             raise ConfigurationError(f"{path}:{i}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip().replace("-", "_")
-        raw = raw.strip()
         if key not in AnalysisConfig._fields:
             raise ConfigurationError(f"{path}:{i}: unknown config key {key!r}")
-        if key in _BOOL_KEYS:
-            values[key] = _parse_bool(raw)
-        elif key in _INT_KEYS:
-            values[key] = int(raw)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(raw)
-        else:
-            values[key] = raw
+        values[key] = _read_value(key, raw.strip())
     return values
 
 
@@ -176,67 +188,36 @@ def resolve_config(args: argparse.Namespace) -> AnalysisConfig:
             values["seed"] = int(env_seed)
         except ValueError:
             raise ConfigurationError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
-    if getattr(args, "config", None):
+    if args.config:
         values.update(read_config_file(args.config))
     for key in AnalysisConfig._fields:
-        if getattr(args, key, None) is not None:
-            values[key] = getattr(args, key)
+        if getattr(args, key) is not None:
+            values[key] = _read_value(key, getattr(args, key))
     cfg = AnalysisConfig(**values)
     cfg.validate()
     return cfg
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="input CSV path")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--scheme", choices=["common", "incites"], default=None)
-    p.add_argument("--inverted", action="store_const", const=True, default=None,
-                   help="rank by descending citations; 100 means worst")
-    p.add_argument("--zero-adjust", dest="zero_adjust", action="store_const", const=True,
-                   default=None, help="pin uncited papers to the worst percentile")
-    p.add_argument("--mu0", type=float, default=None)
-    p.add_argument("--top-x", dest="top_x", type=float, default=None)
-    p.add_argument("--p0", type=float, default=None)
-    p.add_argument("--pairs", default=None, help='a:b[,c:d...]; "quote" a side holding , or :')
-    p.add_argument("--counting", choices=["binary", "fractional"], default=None)
-    p.add_argument("--bootstrap-reps", dest="bootstrap_reps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ci", choices=["normal", "percentile"], default=None,
-                   help="bootstrap CI method")
-    p.add_argument("--welch", action="store_const", const=True, default=None)
-    p.add_argument("--mann-whitney", dest="mann_whitney", action="store_const",
-                   const=True, default=None)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--format", default=None, help="comma list from tsv,json,svg")
-    p.add_argument("--last-year", dest="last_year", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted for compatibility (>= 1); changes nothing")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The command word, --config and a flag per config key, each value
+    kept as text for _read_value; a boolean flag is a switch."""
+    commands = "".join(f"  {name:<12} {fn.__doc__}\n" for name, fn in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="pct-impact",
         description="Percentile-based citation impact analysis",
+        epilog="commands:\n" + commands,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("percentiles", "write per-paper percentile assignments"),
-        ("summary", "mean percentile per institution vs mu0"),
-        ("compare", "pairwise mean percentile differences"),
-        ("topshare", "top-x% share per institution vs p0"),
-        ("topcompare", "pairwise top-x% share differences"),
-        ("robustness", "outlier sensitivity of MNCS vs top-x% share"),
-        ("bootstrap", "bootstrap a statistic"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p)
-        if name == "bootstrap":
-            p.add_argument(
-                "--statistic",
-                choices=["mean", "mean-diff", "proportion", "prop-diff"],
-                default=None,
-            )
-            p.add_argument("--institution", default=None)
+    parser.add_argument("command", choices=_COMMANDS, metavar="command")
+    parser.add_argument("--config", help="flat key=value config file; every flag is a key")
+    for key in AnalysisConfig._fields:
+        flag = "--" + key.replace("_", "-")
+        if key in _BOOL_KEYS:
+            parser.add_argument(flag, action="store_const", const="true", help=_HELP.get(key))
+        else:
+            allowed = _CHOICES.get(key)
+            metavar = "{" + ",".join(allowed) + "}" if allowed else None
+            parser.add_argument(flag, metavar=metavar, help=_HELP.get(key))
     return parser
 
 
@@ -374,6 +355,7 @@ def _emit_chart(cfg: AnalysisConfig, stem: str, spec: CiChartSpec) -> None:
 
 
 def cmd_percentiles(cfg: AnalysisConfig) -> int:
+    """write per-paper percentile assignments"""
     dataset = _load_dataset(cfg)
     best = assign_best_percentiles(dataset, cfg.percentile_scheme, x=cfg.top_x)
     for label, size, ties in zip(
@@ -396,6 +378,7 @@ def cmd_percentiles(cfg: AnalysisConfig) -> int:
 
 
 def cmd_summary(cfg: AnalysisConfig) -> int:
+    """mean percentile per institution vs mu0"""
     dataset = _load_dataset(cfg)
     pct, _ = _analysis_percentiles(cfg, dataset)
     stats = {
@@ -418,6 +401,7 @@ def cmd_summary(cfg: AnalysisConfig) -> int:
 
 
 def cmd_compare(cfg: AnalysisConfig) -> int:
+    """pairwise mean percentile differences"""
     dataset = _load_dataset(cfg)
     pairs = cfg.pair_list
     _require_known(dataset, [label for pair in pairs for label in pair])
@@ -446,6 +430,7 @@ def cmd_compare(cfg: AnalysisConfig) -> int:
 
 
 def cmd_topshare(cfg: AnalysisConfig) -> int:
+    """top-x% share per institution vs p0"""
     dataset = _load_dataset(cfg)
     counts = _top_counts(cfg, dataset)
     table = topshare_table(counts, cfg.p0, cfg.top_x, ci_level=cfg.ci_level)
@@ -466,6 +451,7 @@ def cmd_topshare(cfg: AnalysisConfig) -> int:
 
 
 def cmd_topcompare(cfg: AnalysisConfig) -> int:
+    """pairwise top-x% share differences"""
     dataset = _load_dataset(cfg)
     pairs = cfg.pair_list
     _require_known(dataset, [label for pair in pairs for label in pair])
@@ -494,6 +480,7 @@ def _reference_means(dataset: Dataset) -> np.ndarray:
 
 
 def cmd_robustness(cfg: AnalysisConfig) -> int:
+    """outlier sensitivity of MNCS vs top-x% share"""
     dataset = _load_dataset(cfg)
     ref_means = _reference_means(dataset)
     weight = assign_best_percentiles(dataset, cfg.percentile_scheme, x=cfg.top_x).top_x_weight
@@ -526,6 +513,7 @@ def cmd_robustness(cfg: AnalysisConfig) -> int:
 
 
 def cmd_bootstrap(cfg: AnalysisConfig) -> int:
+    """bootstrap a statistic"""
     dataset = _load_dataset(cfg)
     statistic = BootstrapStatistic(cfg.statistic.replace("-", "_"))
     spec = BootstrapSpec(
@@ -596,13 +584,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             cfg = resolve_config(args)
             return _COMMANDS[args.command](cfg)
-        except ConfigurationError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 2
-        except CitationImpactError as exc:
+        except DataError as exc:
             print(f"data error: {exc}", file=sys.stderr)
             return 1
-        except (ValueError, OSError) as exc:  # a bad config number, an unreadable path
+        except (ConfigurationError, ValueError, OSError) as exc:  # OSError: an unreadable path
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
 

@@ -404,21 +404,6 @@ def _stripped_float(cell: str) -> Optional[float]:
     return float(cell) if cell else None
 
 
-_VALID_RECORD = ("p", "i", ("c",), 0, None)  # _check_record's arguments
-
-
-def _breaks_rule(argument: int, value: object) -> bool:
-    """Whether a record that is valid but for value, _check_record's
-    argument number `argument`, breaks a record rule."""
-    record = list(_VALID_RECORD)
-    record[argument] = value
-    try:
-        _check_record(*record)
-    except ValueError:
-        return True
-    return False
-
-
 def _reject_reason(row: Sequence[str], required: Sequence[int], i_pct: Optional[int]) -> str:
     """The reason a row that breaks a record rule is rejected for: its first
     conversion failure, in column order, or else the rule it breaks first."""
@@ -457,26 +442,25 @@ def _parse_columns(
     i_id, i_inst, i_year, i_cat, i_cit = required
     width, step = len(names), len(names) + 1
     n = (len(fields) + 1) // step
-    # column: conversion, its _check_record argument, the argument's rules
-    # over the column's results
+    # column: conversion, and _check_record's rules over the column's results
     specs = {
-        i_id: (str.strip, 0, lambda ids: "" not in ids),
-        i_inst: (str.strip, 1,
+        i_id: (str.strip, lambda ids: "" not in ids),
+        i_inst: (str.strip,
                  lambda insts: "" not in insts and not _breaks_line("".join(insts))),
-        i_year: (_stripped_int, None, lambda years: True),
+        i_year: (_stripped_int, lambda years: True),
         # _categories drops empty and repeated names
-        i_cat: (_categories, 2, lambda cats: () not in cats),
-        i_cit: (_stripped_int, 3, lambda cits: (
+        i_cat: (_categories, lambda cats: () not in cats),
+        i_cit: (_stripped_int, lambda cits: (
             0 <= min(cits, default=0) and max(cits, default=0) <= _MAX_CITATIONS)),
     }
     if i_pct is not None:
-        specs[i_pct] = (_stripped_float, 4,
+        specs[i_pct] = (_stripped_float,
                         lambda pcts: all(p is None or 0.0 <= p <= 100.0 for p in pcts))
     raw_ids = fields[i_id::step]
     ids = tuple(map(str.strip, raw_ids))
     columns = {i_id: (ids, ids, raw_ids)}  # no table: ids are mostly distinct
     unconverted = set()  # columns with a cell that fails its conversion
-    for k, (convert, _, _) in specs.items():
+    for k, (convert, _) in specs.items():
         if k in columns:
             continue
         try:
@@ -494,11 +478,11 @@ def _parse_columns(
         lines = range(2, n + 2)
 
     bad: set[int] = set()  # rows with a cell that fails its conversion or a rule
-    for k, (_, argument, valid) in specs.items():
+    for k, (_, valid) in specs.items():
         values, results, _ = columns[k]
         if k in unconverted or not valid(results):
-            failing = {r for r in set(results)
-                       if r is _BAD or argument is not None and _breaks_rule(argument, r)}
+            # a failing column's values that fail alone
+            failing = {r for r in set(results) if r is _BAD or not valid((r,))}
             bad.update(i for i, value in enumerate(values) if value in failing)
     rejects: dict[int, RejectedRow] = {}
     for i in bad:

@@ -258,7 +258,7 @@ def fractional_top_share(citations: Sequence[int], x: float) -> FractionalTopSha
         weights=weights,
         share=sum(weights, Fraction(0)) / n,
         slots=Fraction(n) * Fraction(x) / 100,
-        threshold_value=threshold,
+        threshold_value=int(threshold),
         count_above=count_above,
         tie_count=tie_count,
         weight_at_threshold=w_tie,
@@ -347,7 +347,7 @@ def outlier_sensitivity_report(
 
     return OutlierSensitivityReport(
         n=n,
-        dropped_citations=citations[idx_max],
+        dropped_citations=int(citations[idx_max]),
         mncs_full=mncs_full,
         mncs_without_max=mncs_drop,
         mncs_abs_delta=abs(mncs_full - mncs_drop),

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pct_impact
-from pct_impact.cli import AnalysisConfig, main
+from pct_impact.cli import _COMMANDS, AnalysisConfig, main
 
 HEADER = "id,institution,pub_year,category,citations,inv_percentile\n"
 
@@ -583,6 +583,90 @@ class TestErrorPaths:
         assert code == 0
         lines = (out / "percentiles.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 surviving rows
+
+
+class TestOptionValues:
+    """A value is read and checked by one rule, whether a flag or the config
+    file gives it; a bad one exits 2 with one line."""
+
+    BAD = [
+        ("mu0", "101", "mu0 must be in [0, 100], got 101.0"),
+        ("mu0", "abc", "mu0 must be a number, got 'abc'"),
+        ("top_x", "100", "top_x must be in (0, 100), got 100.0"),
+        ("p0", "0", "p0 must be in (0, 1), got 0.0"),
+        ("ci_level", "1", "ci_level must be in (0, 1), got 1.0"),
+        ("scheme", "bogus", "scheme must be common or incites, got bogus"),
+        ("counting", "bogus", "counting must be binary or fractional, got bogus"),
+        ("ci", "bogus", "ci must be normal or percentile, got bogus"),
+        ("format", "tsv,xml", "format must be tsv, json or svg, got xml"),
+        ("bootstrap_reps", "0", "bootstrap_reps must be >= 1, got 0"),
+        ("seed", "1.5", "seed must be an integer, got '1.5'"),
+        ("workers", "0", "workers must be >= 1, got 0"),
+    ] + [
+        ("statistic", value, "statistic must be mean, mean-diff, proportion or prop-diff, "
+                             f"got {value}")
+        for value in ("bogus", "mean_diff")
+    ]
+
+    def run_with(self, csv_path, command, key, value, spelling):
+        argv = [command, "--input", csv_path, "--out-dir", csv_path.parent / "out",
+                "--pairs", "A:B", "--institution", "A"]
+        if spelling == "flag":
+            return run(*argv, "--" + key.replace("_", "-"), value)
+        config = csv_path.parent / "run.cfg"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        return run(*argv, "--config", config)
+
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    @pytest.mark.parametrize("key, value, message", BAD)
+    def test_bad_value_exits_2(self, inst_csv, capsys, key, value, message, spelling):
+        assert self.run_with(inst_csv, "summary", key, value, spelling) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_bad_statistic_exits_2_under_every_command(self, inst_csv, capsys, command,
+                                                       spelling):
+        assert self.run_with(inst_csv, command, "statistic", "bogus", spelling) == 2
+        assert capsys.readouterr().err.startswith("configuration error: statistic must be")
+
+    @pytest.mark.parametrize("value, on", [
+        ("yes", True), ("on", True), ("1", True), (" True ", True),
+        ("no", False), ("off", False), ("0", False), ("FALSE", False),
+    ])
+    def test_boolean_spellings(self, inst_csv, tmp_path, value, on):
+        assert self.run_with(inst_csv, "compare", "welch", value, "config") == 0
+        assert ("Welch t" in (tmp_path / "out" / "compare.tsv").read_text()) == on
+
+    def test_bad_boolean_exits_2(self, inst_csv, capsys):
+        assert self.run_with(inst_csv, "compare", "welch", "maybe", "config") == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: welch must be a boolean, got 'maybe'\n"
+
+    def test_flags_may_come_before_the_command(self, inst_csv, tmp_path, capsys):
+        flags = ["--input", inst_csv, "--ci-level", "0.9", "--format", "tsv,json,svg"]
+        outputs = []
+        for argv in (["summary", *flags], [*flags, "summary"]):
+            out = tmp_path / str(len(outputs))
+            assert run(*argv, "--out-dir", out) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1] and b"90% CI" in outputs[0]["summary.tsv"]
+
+    @pytest.mark.parametrize("argv", [["summary", "--nope"], ["bogus"], []])
+    def test_unknown_flag_or_command_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: pct-impact")
+
+    def test_help_names_each_command_and_the_allowed_values(self, capsys):
+        with pytest.raises(SystemExit):
+            run("--help")
+        text = capsys.readouterr().out
+        for name, fn in _COMMANDS.items():
+            assert f"  {name:<12} {fn.__doc__}" in text
+        assert "--statistic {mean,mean-diff,proportion,prop-diff}" in text
+        assert "--scheme {common,incites}" in text
 
 
 @pytest.mark.parametrize("command", [

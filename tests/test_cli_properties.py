@@ -2,10 +2,14 @@
 
 Each example writes one dataset in two spellings, csv.writer's minimal
 quoting and every field quoted, and runs one subcommand in process on the
-first spelling twice and on the second once. Labels and ids may hold ",",
-'"' or ":", citations may be all zero or all tied, an inv_percentile column
-may be full or partial, and the rejected rows may sit right at the 10%
-threshold or just above it.
+first spelling twice, on the second once, and once more with its options
+in a config file instead of flags. Labels and ids may hold ",", '"', ":"
+or non-ASCII letters, citations may be all zero or all tied, an
+inv_percentile column may be full or partial, a paper may have a second
+row that is merged into the first, and the rejected rows (a negative
+citation count, a second row of a paper with other citations, or an
+institution label holding a tab) may sit right at the 10% threshold or
+just above it.
 """
 
 import csv
@@ -23,7 +27,7 @@ from hypothesis import strategies as st
 from pct_impact import cli
 
 LABELS = ["A", "B,C", 'D"E', "F:G", "école"]
-ID_MARKS = ["", ",", '"', ":"]
+ID_MARKS = ["", ",", '"', ":", "é", "漢"]
 TOP_X = ["0.001", "0.5", "10", "50", "99.5", "99.999"]
 HEADER = ["id", "institution", "pub_year", "category", "citations", "inv_percentile"]
 
@@ -53,9 +57,21 @@ def runs(draw, command):
             {"zero": "0", "tied": "5", "mixed": str(draw(st.integers(0, 9)))}[citations],
             draw(st.sampled_from(["0", "10", "37.5", "100"])) if given_pct else "",
         ])
+    papers = list(rows)
+    merged = draw(st.booleans())
+    if merged:  # a second row of a paper, with another category
+        first = draw(st.sampled_from(papers))
+        other = {"X": "Y", "Y": "X"}.get(first[3], first[3])
+        rows.insert(draw(st.integers(0, len(rows))), first[:3] + [other] + first[4:])
     # n // 9 rejects of n + n // 9 rows are at most 10%; one more is above
     for j in range(draw(st.sampled_from([0, n // 9, n // 9 + 1]))):
-        bad = [f"bad{j}", labels[0], "2001", "X", "-1", ""]
+        kind = draw(st.sampled_from(["negative", "conflict", "tab"]))
+        if kind == "conflict":  # a paper's second row, with other citations
+            first = draw(st.sampled_from(papers))
+            bad = first[:4] + [str(int(first[4]) + 1)] + first[5:]
+        else:
+            bad = [f"bad{j}", labels[0] if kind == "negative" else "A\tB", "2001", "X",
+                   "-1" if kind == "negative" else "1", ""]
         rows.insert(draw(st.integers(0, len(rows))), bad)
 
     argv = [command, "--top-x", draw(st.sampled_from(TOP_X)), "--format", "tsv,json,svg",
@@ -83,13 +99,26 @@ def _spelling(rows, bom, quoting):
     return (("\ufeff" if bom else "") + out.getvalue()).encode("utf-8")
 
 
-def _run(root, name, data, argv):
+def _config(argv):
+    """The options after argv's command word, as the lines of a config file."""
+    lines, options = [], iter(argv[1:])
+    for flag in options:
+        key = flag[2:].replace("-", "_")
+        lines.append(f"{key} = {'yes' if key in cli._BOOL_KEYS else next(options)}\n")
+    return "".join(lines)
+
+
+def _run(root, name, data, argv, config=False):
     """Exit code, stdout and stderr with the run's directory named <work>,
-    and each output file's bytes."""
+    and each output file's bytes. With config, argv's options are read
+    from a config file."""
     work = root / name
     out_dir = work / "out"
     work.mkdir()
     (work / "in.csv").write_bytes(data)
+    if config:
+        (work / "run.cfg").write_text(_config(argv), encoding="utf-8")
+        argv = [argv[0], "--config", str(work / "run.cfg")]
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         code = cli.main(argv + ["--input", str(work / "in.csv"), "--out-dir", str(out_dir)])
@@ -98,6 +127,19 @@ def _run(root, name, data, argv):
     text = (stdout.getvalue() + stderr.getvalue()).replace(str(work), "<work>")
     files = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))}
     return code, text, files
+
+
+def _reasons(rows):
+    """The reasons rejects.csv gives, in row order, for the rows runs() draws."""
+    first, reasons = {}, []
+    for pid, inst, year, _, cits, pct in rows:
+        if cits == "-1":
+            reasons.append("citations must be >= 0, got -1")
+        elif "\t" in inst:
+            reasons.append("institution contains a tab or line break")
+        elif first.setdefault(pid, (inst, year, cits, pct)) != (inst, year, cits, pct):
+            reasons.append(f"conflicts with earlier row for id {pid!r}")
+    return reasons
 
 
 def _table(name, data):
@@ -118,15 +160,23 @@ def test_cli_runs(command, data):
         plain = _run(root, "plain", minimal, argv)
         assert _run(root, "rerun", minimal, argv) == plain
         assert _run(root, "quoted", _spelling(rows, bom, csv.QUOTE_ALL), argv) == plain
+        assert _run(root, "config", minimal, argv, config=True) == plain
     code, _, files = plain
     event(f"exit {code}")
+
+    if code == 0 or "rejects.csv" in files:
+        rejects = _table("rejects.csv", files["rejects.csv"])[1:] if "rejects.csv" in files else []
+        assert [reason for _, reason in rejects] == _reasons(rows)
 
     for name, data in files.items():
         if name.endswith((".csv", ".tsv")):
             header, *body = _table(name, data)
             assert all(len(line) == len(header) for line in body), name
 
-    if "percentiles.csv" in files and all("|" not in row[3] for row in rows):
+    categories = defaultdict(set)  # of each id, over all its rows
+    for row in rows:
+        categories[row[0]].add(row[3])
+    if "percentiles.csv" in files and all(c in ({"X"}, {"Y"}) for c in categories.values()):
         x = float(argv[argv.index("--top-x") + 1])
         weights = defaultdict(list)
         for line in _table("percentiles.csv", files["percentiles.csv"])[1:]:

@@ -6,6 +6,7 @@ stays independent of the bisect-based implementation it checks.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -312,3 +313,17 @@ def test_array_inputs_match_lists(citations, dtype):
         assert outlier_sensitivity_report(
             array, np.array(means), np.array(weights)
         ) == outlier_sensitivity_report(citations, means, weights)
+
+
+@pytest.mark.parametrize("citations", [[9, 2, 2], np.array([9, 2, 2], dtype=np.int64)])
+def test_reports_hold_python_ints(citations):
+    """An int64 array gives the list's results, with Python ints that
+    json.dumps writes."""
+    report = outlier_sensitivity(citations)
+    share = fractional_top_share(citations, 10.0)
+    assert report == outlier_sensitivity([9, 2, 2])
+    assert share == fractional_top_share([9, 2, 2], 10.0)
+    json.dumps(report.to_json_dict())
+    assert type(report.dropped_citations) is int and type(report.n) is int
+    assert all(type(v) is int for v in (share.threshold_value, share.count_above,
+                                         share.tie_count))
