@@ -25,7 +25,14 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, filter_years, parse_records, write_rejects_report
+from .data import (
+    Dataset,
+    _csv_field,
+    _needs_quotes,
+    filter_years,
+    parse_records,
+    write_rejects_report,
+)
 from .effects import summarize
 from .errors import ConfigurationError, DataError, UnknownInstitutionError
 from .percentiles import (
@@ -78,9 +85,9 @@ class AnalysisConfig(NamedTuple):
                 if value not in allowed:
                     words = ", ".join(allowed[:-1]) + " or " + allowed[-1]
                     raise ConfigurationError(f"{key} must be {words}, got {value}")
-        for key in ("bootstrap_reps", "workers"):
-            if getattr(self, key) < 1:
-                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key, least in (("bootstrap_reps", 1), ("seed", 0), ("workers", 1)):
+            if getattr(self, key) < least:
+                raise ConfigurationError(f"{key} must be >= {least}, got {getattr(self, key)}")
 
     @property
     def formats(self) -> list[str]:
@@ -307,16 +314,6 @@ def _top_counts(cfg: AnalysisConfig, dataset: Dataset) -> dict[str, tuple[float,
     """(top count, n) per institution: the sum of its papers' top-x weights."""
     weights = _institution_values(dataset, _top_weights(cfg, dataset))
     return {label: (math.fsum(v), len(v)) for label, v in weights.items()}
-
-
-def _needs_quotes(text: str) -> bool:
-    return any(c in text for c in ',"\r\n')
-
-
-def _csv_field(text: str) -> str:
-    """text as csv.writer writes a field: quoted, with each quote doubled,
-    when it holds a comma, a quote or a line break."""
-    return '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
 
 
 def _write_text(cfg: AnalysisConfig, name: str, text: str) -> Path:

@@ -20,10 +20,12 @@ ends. Both give one flat field list, and one column pass (_parse_columns)
 converts each distinct cell of a column once and checks the record rules
 over whole columns. Only a row that breaks a rule is looked at alone, for
 its reject reason (_reject_reason); rows that share an id are merged, or
-rejected when they conflict. The record rules live in one function,
-_check_record, which the column pass applies and PublicationRecord
-applies on construction. Reference sets and institution samples are
-index arrays over the columns (Dataset.set_membership,
+rejected when they conflict. Each field's conversion is written once, in
+_CONVERSIONS, and each record rule once, in _RULES, as a test over any
+number of a field's values: the column pass runs it over a column, and
+_check_record over one record, for PublicationRecord on construction and
+for _reject_reason on a converted row. Reference sets and institution
+samples are index arrays over the columns (Dataset.set_membership,
 Dataset.institution_rows; group_reference_sets and
 select_institution_sample return the same arrays). PublicationRecord
 objects are built only when a caller reads Dataset.records.
@@ -65,37 +67,32 @@ REQUIRED_COLUMNS = ("id", "institution", "pub_year", "category", "citations")
 _MAX_CITATIONS = 2**63 - 1  # citation counts are held in an int64 column
 
 
-def _breaks_line(label: str) -> bool:
-    """Whether label holds a tab or a line break, which would split a row of
-    a TSV or text table."""
-    return "\t" in label or "\r" in label or "\n" in label
+# The record rules, in the order _check_record applies them: a record
+# field's position, a test over any number of that field's values, and the
+# reason for one value that fails it. The column pass runs each test over
+# a whole column, _check_record over one record's value.
+_RULES = (
+    (0, lambda ids: "" not in ids, "empty id"),
+    (1, lambda insts: "" not in insts, "empty institution"),
+    (3, lambda cats: all(c and "" not in c for c in cats), "empty category"),
+    (3, lambda cats: all(len(set(c)) == len(c) for c in cats), "repeated category in {}"),
+    (4, lambda cits: min(cits, default=0) >= 0, "citations must be >= 0, got {}"),
+    (4, lambda cits: max(cits, default=0) <= _MAX_CITATIONS,
+     "citations must be < 2**63, got {}"),
+    (5, lambda pcts: all(p is None or 0.0 <= p <= 100.0 for p in pcts),
+     "inv_percentile must be in [0, 100], got {}"),
+    # a tab or line break in a label would split a row of a TSV or text table
+    (1, lambda insts: not {"\t", "\r", "\n"}.intersection("".join(insts)),
+     "institution contains a tab or line break"),
+)
 
 
-def _check_record(
-    pid: str,
-    institution: str,
-    categories: tuple[str, ...],
-    citations: int,
-    inv_percentile: Optional[float],
-) -> None:
-    """The record rules. Their ValueError messages are the reasons
-    parse_records reports for rejected rows."""
-    if not pid:
-        raise ValueError("empty id")
-    if not institution:
-        raise ValueError("empty institution")
-    if not categories or "" in categories:
-        raise ValueError("empty category")
-    if len(set(categories)) != len(categories):
-        raise ValueError(f"repeated category in {categories}")
-    if citations < 0:
-        raise ValueError(f"citations must be >= 0, got {citations}")
-    if citations > _MAX_CITATIONS:
-        raise ValueError(f"citations must be < 2**63, got {citations}")
-    if inv_percentile is not None and not 0.0 <= inv_percentile <= 100.0:
-        raise ValueError(f"inv_percentile must be in [0, 100], got {inv_percentile}")
-    if _breaks_line(institution):
-        raise ValueError("institution contains a tab or line break")
+def _check_record(record: Sequence) -> None:
+    """Raise a ValueError for the first rule that record (its fields in
+    record order) breaks, with the reason parse_records reports."""
+    for field, test, reason in _RULES:
+        if not test((record[field],)):
+            raise ValueError(reason.format(record[field]))
 
 
 class _PublicationRecord(NamedTuple):
@@ -119,7 +116,7 @@ class PublicationRecord(_PublicationRecord):
 
     def __new__(cls, *args, **kwargs):
         r = super().__new__(cls, *args, **kwargs)
-        _check_record(r.id, r.institution, r.categories, r.citations, r.inv_percentile)
+        _check_record(r)
         return r
 
 
@@ -404,17 +401,21 @@ def _stripped_float(cell: str) -> Optional[float]:
     return float(cell) if cell else None
 
 
-def _reject_reason(row: Sequence[str], required: Sequence[int], i_pct: Optional[int]) -> str:
+# each record field's conversion from its cell, in record order: id,
+# institution, pub_year, categories, citations, inv_percentile
+_CONVERSIONS = (
+    str.strip, str.strip, _stripped_int, _categories, _stripped_int, _stripped_float
+)
+
+
+def _reject_reason(row: Sequence[str], columns: Sequence[Optional[int]]) -> str:
     """The reason a row that breaks a record rule is rejected for: its first
-    conversion failure, in column order, or else the rule it breaks first."""
-    i_id, i_inst, i_year, i_cat, i_cit = required
+    conversion failure, in record order, or else the rule it breaks first.
+    columns holds each record field's position in row, None for a field
+    without a column."""
     try:
-        pid, inst = row[i_id].strip(), row[i_inst].strip()
-        _stripped_int(row[i_year])
-        categories = _categories(row[i_cat])
-        citations = _stripped_int(row[i_cit])
-        pct = None if i_pct is None else _stripped_float(row[i_pct])
-        _check_record(pid, inst, categories, citations, pct)
+        _check_record([None if k is None else convert(row[k])
+                       for k, convert in zip(columns, _CONVERSIONS)])
     except ValueError as exc:
         return str(exc)
     raise AssertionError("the row breaks no record rule")
@@ -430,68 +431,57 @@ def _parse_columns(
     for plain text with a field longer than csv.field_size_limit(), which
     csv.reader checks for any other text.
 
-    Each distinct cell of a converted column is converted once, and each
-    column is checked against whole-column forms of _check_record's rules.
-    Only a column that fails its check is looked at cell by cell: a row
-    with a cell that fails its conversion or a rule is rejected, with the
-    reason _reject_reason gives. A row whose id an earlier record has adds
-    its categories to that record when its other fields are the same, and
-    is rejected otherwise.
+    Each distinct cell of a column is converted once, through its field's
+    entry of _CONVERSIONS, and each rule of _RULES tests its field's whole
+    column. Only a column that fails a conversion or a test is looked at
+    value by value: a row with a cell that fails its conversion or a rule
+    is rejected, with the reason _reject_reason gives. A row whose id an
+    earlier record has adds its categories to that record when its other
+    fields are the same, and is rejected otherwise.
     """
     required, i_pct, _ = _header_columns(names)
-    i_id, i_inst, i_year, i_cat, i_cit = required
+    positions = (*required, i_pct)  # each record field's column, or None
     width, step = len(names), len(names) + 1
     n = (len(fields) + 1) // step
-    # column: conversion, and _check_record's rules over the column's results
-    specs = {
-        i_id: (str.strip, lambda ids: "" not in ids),
-        i_inst: (str.strip,
-                 lambda insts: "" not in insts and not _breaks_line("".join(insts))),
-        i_year: (_stripped_int, lambda years: True),
-        # _categories drops empty and repeated names
-        i_cat: (_categories, lambda cats: () not in cats),
-        i_cit: (_stripped_int, lambda cits: (
-            0 <= min(cits, default=0) and max(cits, default=0) <= _MAX_CITATIONS)),
-    }
-    if i_pct is not None:
-        specs[i_pct] = (_stripped_float,
-                        lambda pcts: all(p is None or 0.0 <= p <= 100.0 for p in pcts))
-    raw_ids = fields[i_id::step]
-    ids = tuple(map(str.strip, raw_ids))
-    columns = {i_id: (ids, ids, raw_ids)}  # no table: ids are mostly distinct
-    unconverted = set()  # columns with a cell that fails its conversion
-    for k, (convert, _) in specs.items():
-        if k in columns:
+    raw_ids = fields[required[0]::step]
+    ids = tuple(map(_CONVERSIONS[0], raw_ids))
+    # record field: its values, results and distinct cells; no table for
+    # ids, which are mostly distinct
+    columns = {0: (ids, ids, raw_ids)}
+    unconverted = set()  # fields with a cell that fails its conversion
+    for f, (k, convert) in enumerate(zip(positions, _CONVERSIONS)):
+        if k is None or f in columns:
             continue
         try:
-            columns[k] = _converted(fields[k::step], convert)
+            columns[f] = _converted(fields[k::step], convert)
         except ValueError:
-            columns[k] = _converted(fields[k::step], _or_bad(convert))
-            unconverted.add(k)
+            columns[f] = _converted(fields[k::step], _or_bad(convert))
+            unconverted.add(f)
     if lines is None:
         # the distinct cells of converted columns, every cell of the others
         cells = [distinct for _, _, distinct in columns.values()]
-        cells += [fields[k::step] for k in range(width) if k not in columns]
+        cells += [fields[k::step] for k in range(width) if k not in positions]
         if max(max(map(len, column)) for column in cells) > csv.field_size_limit():
             return None
         del cells
         lines = range(2, n + 2)
 
     bad: set[int] = set()  # rows with a cell that fails its conversion or a rule
-    for k, (_, valid) in specs.items():
-        values, results, _ = columns[k]
-        if k in unconverted or not valid(results):
-            # a failing column's values that fail alone
-            failing = {r for r in set(results) if r is _BAD or not valid((r,))}
+    for f, (values, results, _) in columns.items():
+        tests = [test for field, test, _ in _RULES if field == f]
+        if f in unconverted or not all(test(results) for test in tests):
+            # the column's results that fail alone
+            failing = {r for r in set(results)
+                       if r is _BAD or not all(test((r,)) for test in tests)}
             bad.update(i for i, value in enumerate(values) if value in failing)
     rejects: dict[int, RejectedRow] = {}
     for i in bad:
-        reason = _reject_reason(fields[i * step:i * step + width], required, i_pct)
+        reason = _reject_reason(fields[i * step:i * step + width], positions)
         rejects[i] = RejectedRow(row=lines[i], reason=reason)
     del fields
 
-    insts, years, cats, cits = (columns[k][0] for k in required[1:])
-    pcts = columns[i_pct][0] if i_pct is not None else (None,) * n
+    ids, insts, years, cats, cits, pcts = (columns[f][0] if f in columns else (None,) * n
+                                           for f in range(len(positions)))
     dropped = set(rejects)  # rows that are no record of their own
     if len(set(ids)) != n:
         keys = ids  # each row's id, and for a rejected row a key of its own
@@ -552,12 +542,20 @@ def _dataset(
     return dataset, rejects
 
 
+def _needs_quotes(text: str) -> bool:
+    return any(c in text for c in ',"\r\n')
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes a field: quoted, with each quote doubled,
+    when it holds a comma, a quote or a line break."""
+    return '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
+
+
 def write_rejects_report(rejects: Sequence[RejectedRow], stream: IO[str]) -> None:
     """Rejects report contract: CSV with columns row,reason."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["row", "reason"])
-    for r in rejects:
-        writer.writerow([r.row, r.reason])
+    stream.write("row,reason\n")
+    stream.writelines(f"{r.row},{_csv_field(r.reason)}\n" for r in rejects)
 
 
 def filter_years(dataset: Dataset, last_year: int) -> Dataset:

@@ -2,9 +2,10 @@
 
 _parse_rows reads any text through csv.reader and _row_loop builds its
 records one row at a time, merging repeated ids as it goes: a second
-code path beside parse_records' column pass. The two share only the
-header lookup, the category and record rules, the csv.reader error
-wrapper and the final Dataset build.
+code path beside parse_records' column pass, with conversions of its
+own. The two share only the header lookup, the category cell's
+conversion, the record rules (data._RULES, through _check_record), the
+csv.reader error wrapper and the final Dataset build.
 """
 
 import csv
@@ -73,7 +74,7 @@ def _row_loop(
             citations = int(row[i_cit].strip())
             pct_raw = row[i_pct].strip() if i_pct is not None else ""
             pct = float(pct_raw) if pct_raw else None
-            _check_record(pid, inst, categories, citations, pct)
+            _check_record((pid, inst, year, categories, citations, pct))
         except ValueError as exc:
             rejects.append(RejectedRow(row=line(), reason=str(exc)))
             continue

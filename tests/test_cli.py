@@ -353,15 +353,19 @@ class TestQuotedInput:
         labels = tmp_path / "labels.csv"
         labels.write_text(
             HEADER
-            + "".join(f"p{i},{'XY'[i % 2]},2001,CAT,{i},\n" for i in range(30))
-            + 'b1,X\tY,2001,CAT,3,\nb2,"X\nY",2001,CAT,3,\nb3,"X\r\nY",2001,CAT,3,\n',
+            + "".join(f"p{i},{'XY'[i % 2]},2001,CAT,{i},\n" for i in range(40))
+            + 'b1,X\tY,2001,CAT,3,\nb2,"X\nY",2001,CAT,3,\nb3,"X\r\nY",2001,CAT,3,\n'
+            # a second row of the paper p,"1 with other citations
+            + '"p,""1",X,2001,CAT,1,\n"p,""1",X,2001,CAT,2,\n',
             encoding="utf-8",
         )
         assert run("summary", "--input", labels, "--out-dir", tmp_path,
                    "--format", "tsv") == 0
         rejects = (tmp_path / "rejects.csv").read_text(encoding="utf-8").splitlines()
-        assert rejects[1:] == [f"{row},institution contains a tab or line break"
-                               for row in (32, 34, 36)]
+        assert rejects[1:] == [
+            *(f"{row},institution contains a tab or line break" for row in (42, 44, 46)),
+            '''48,"conflicts with earlier row for id 'p,""1'"''',
+        ]
         with open(tmp_path / "summary.tsv", newline="", encoding="utf-8") as fh:
             header, *rows = fh.read().splitlines()
         assert header.split("\t")[1:] == ["X", "Y"]  # a column per institution
@@ -601,6 +605,7 @@ class TestOptionValues:
         ("format", "tsv,xml", "format must be tsv, json or svg, got xml"),
         ("bootstrap_reps", "0", "bootstrap_reps must be >= 1, got 0"),
         ("seed", "1.5", "seed must be an integer, got '1.5'"),
+        ("seed", "-1", "seed must be >= 0, got -1"),
         ("workers", "0", "workers must be >= 1, got 0"),
     ] + [
         ("statistic", value, "statistic must be mean, mean-diff, proportion or prop-diff, "
@@ -622,6 +627,13 @@ class TestOptionValues:
     def test_bad_value_exits_2(self, inst_csv, capsys, key, value, message, spelling):
         assert self.run_with(inst_csv, "summary", key, value, spelling) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_negative_seed_from_the_environment_exits_2(self, inst_csv, capsys, monkeypatch,
+                                                        command):
+        monkeypatch.setenv("PCT_IMPACT_SEED", "-5")
+        assert self.run_with(inst_csv, command, "statistic", "mean", "flag") == 2
+        assert capsys.readouterr().err == "configuration error: seed must be >= 0, got -5\n"
 
     @pytest.mark.parametrize("spelling", ["flag", "config"])
     @pytest.mark.parametrize("command", sorted(_COMMANDS))

@@ -39,8 +39,8 @@ def _quoted(label):
 
 @st.composite
 def runs(draw, command):
-    """A dataset's rows, whether it starts with a byte-order mark, and the
-    arguments of the subcommand."""
+    """A dataset's rows, whether it starts with a byte-order mark, the
+    arguments of the subcommand and the institution labels drawn."""
     labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3, unique=True))
     n = draw(st.integers(1, 24))
     citations = draw(st.sampled_from(["zero", "tied", "mixed"]))
@@ -88,7 +88,7 @@ def runs(draw, command):
         statistic = draw(st.sampled_from(["mean", "mean-diff", "proportion", "prop-diff"]))
         argv += ["--statistic", statistic, "--institution", labels[0],
                  "--bootstrap-reps", "20"]
-    return rows, draw(st.booleans()), argv
+    return rows, draw(st.booleans()), argv, labels
 
 
 def _spelling(rows, bom, quoting):
@@ -142,6 +142,18 @@ def _reasons(rows):
     return reasons
 
 
+def _top_x_lookups(argv, labels):
+    """The institutions that the run of argv looks up before it counts
+    binary top-x weights, or None for a run that counts none."""
+    options = dict(zip(argv, argv[1:]))  # each flag's value
+    statistic = options.get("--statistic")
+    if options.get("--counting") != "binary" or statistic in ("mean", "mean-diff"):
+        return None
+    if argv[0] == "topshare":
+        return []
+    return labels[:1] if statistic == "proportion" else [labels[0], labels[-1]]
+
+
 def _table(name, data):
     text = data.decode("utf-8")
     if name.endswith(".tsv"):
@@ -153,7 +165,7 @@ def _table(name, data):
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
 def test_cli_runs(command, data):
-    rows, bom, argv = data.draw(runs(command))
+    rows, bom, argv, labels = data.draw(runs(command))
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         minimal = _spelling(rows, bom, csv.QUOTE_MINIMAL)
@@ -161,12 +173,26 @@ def test_cli_runs(command, data):
         assert _run(root, "rerun", minimal, argv) == plain
         assert _run(root, "quoted", _spelling(rows, bom, csv.QUOTE_ALL), argv) == plain
         assert _run(root, "config", minimal, argv, config=True) == plain
-    code, _, files = plain
+    code, text, files = plain
     event(f"exit {code}")
+
+    reasons = _reasons(rows)
+    # the rows that are no negative count or tab label: a conflicting row
+    # among them has the institution and inv_percentile of a kept row
+    kept = [row for row in rows if row[4] != "-1" and "\t" not in row[1]]
+    looked_up = _top_x_lookups(argv, labels)
+    if len(reasons) / len(rows) > 0.10:
+        assert code == 1
+        assert (f"data error: {len(reasons)} of {len(rows)} rows rejected, above the 10% "
+                "threshold\n") in text
+    elif (looked_up is not None and {row[1] for row in kept}.issuperset(looked_up)
+          and "--inverted" not in argv and not all(row[5] for row in kept)):
+        assert code == 2
+        assert "configuration error: top-x classification needs inverted percentiles" in text
 
     if code == 0 or "rejects.csv" in files:
         rejects = _table("rejects.csv", files["rejects.csv"])[1:] if "rejects.csv" in files else []
-        assert [reason for _, reason in rejects] == _reasons(rows)
+        assert [reason for _, reason in rejects] == reasons
 
     for name, data in files.items():
         if name.endswith((".csv", ".tsv")):

@@ -122,6 +122,13 @@ class TestParse:
             ("p1,i,2001,B,6,", "conflicts with earlier row for id 'p1'"),
             ("q,i,2001", "invalid literal for int() with base 10: ''"),  # short row
             ("q,i, x ,A,1,", "invalid literal for int() with base 10: 'x'"),  # padded
+            # faults in several fields: the first rule broken is reported
+            (",A\tB,2001,X,1,", "empty id"),
+            ("q,A\tB,2001,X,1,140", "inv_percentile must be in [0, 100], got 140.0"),
+            ("q,A\tB,2001,X,-1,", "citations must be >= 0, got -1"),
+            ("q,A\tB,2001,,1,", "empty category"),
+            ("q,,2001,A,-1,", "empty institution"),
+            ("q,A,2001, | ,-3,", "empty category"),
         ],
     )
     def test_reject_reasons(self, row, reason):
