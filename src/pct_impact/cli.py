@@ -156,10 +156,11 @@ _HELP = {
 
 def _read_value(key: str, raw: str) -> object:
     """The value of config key from its text, whether a flag or the config
-    file gave it."""
+    file gave it, trimmed of surrounding space."""
+    raw = raw.strip()
     try:
         if key in _BOOL_KEYS:
-            return _BOOLEANS[raw.strip().lower()]
+            return _BOOLEANS[raw.lower()]
         if key in _INT_KEYS:
             return int(raw)
         return float(raw) if key in _FLOAT_KEYS else raw
@@ -182,7 +183,7 @@ def read_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in AnalysisConfig._fields:
             raise ConfigurationError(f"{path}:{i}: unknown config key {key!r}")
-        values[key] = _read_value(key, raw.strip())
+        values[key] = _read_value(key, raw)
     return values
 
 
@@ -332,23 +333,21 @@ def _emit_table(cfg: AnalysisConfig, stem: str, table: ReportTable) -> None:
         _write_text(cfg, f"{stem}.json", json.dumps(table.to_json_dict(), indent=2) + "\n")
 
 
-def _table_series(table: ReportTable, rows: tuple[int, int, int]) -> tuple[CiSeries, ...]:
-    """Chart series from table cells so figures match tables exactly."""
-    point_row, lo_row, hi_row = rows
-    series = []
-    for j, label in enumerate(table.col_labels):
-        point = table.cells[point_row][j].value
-        lo = table.cells[lo_row][j].value
-        hi = table.cells[hi_row][j].value
-        if point is None or lo is None or hi is None:
-            continue
-        series.append(CiSeries(label=label, point=point, ci_low=lo, ci_high=hi))
-    return tuple(series)
-
-
-def _emit_chart(cfg: AnalysisConfig, stem: str, spec: CiChartSpec) -> None:
-    if "svg" in cfg.formats and spec.series:
-        _write_text(cfg, f"{stem}.svg", render_ci_chart(spec))
+def _emit_chart(
+    cfg: AnalysisConfig, stem: str, table: ReportTable, rows: tuple[int, int, int], **labels
+) -> None:
+    """The SVG chart of table's columns, each point and interval read from
+    the cells of rows (point, lower, upper) so that figures match tables
+    exactly; a column with an undefined cell is left out. labels are the
+    CiChartSpec fields after series."""
+    columns = zip(*([cell.value for cell in table.cells[row]] for row in rows))
+    series = tuple(
+        CiSeries(label, *values)
+        for label, values in zip(table.col_labels, columns)
+        if None not in values
+    )
+    if "svg" in cfg.formats and series:
+        _write_text(cfg, f"{stem}.svg", render_ci_chart(CiChartSpec(series, **labels)))
 
 
 def cmd_percentiles(cfg: AnalysisConfig) -> int:
@@ -384,15 +383,11 @@ def cmd_summary(cfg: AnalysisConfig) -> int:
     table = summary_table(stats, cfg.mu0, ci_level=cfg.ci_level)
     _emit_table(cfg, "summary", table)
     _emit_chart(
-        cfg,
-        "summary_ci",
-        CiChartSpec(
-            series=_table_series(table, (0, 3, 4)),
-            title=f"Average percentile score by institution, with {100 * cfg.ci_level:g}% CIs",
-            y_label="Mean percentile",
-            x_label="Institution",
-            reference_line=cfg.mu0,
-        ),
+        cfg, "summary_ci", table, (0, 3, 4),
+        title=f"Average percentile score by institution, with {100 * cfg.ci_level:g}% CIs",
+        y_label="Mean percentile",
+        x_label="Institution",
+        reference_line=cfg.mu0,
     )
     return 0
 
@@ -413,15 +408,11 @@ def cmd_compare(cfg: AnalysisConfig) -> int:
     )
     _emit_table(cfg, "compare", table)
     _emit_chart(
-        cfg,
-        "compare_ci",
-        CiChartSpec(
-            series=_table_series(table, (0, 3, 4)),
-            title=f"Differences in mean percentiles, with {100 * cfg.ci_level:g}% CIs",
-            y_label="Difference in mean percentile",
-            x_label="Institution pair",
-            reference_line=0.0,
-        ),
+        cfg, "compare_ci", table, (0, 3, 4),
+        title=f"Differences in mean percentiles, with {100 * cfg.ci_level:g}% CIs",
+        y_label="Difference in mean percentile",
+        x_label="Institution pair",
+        reference_line=0.0,
     )
     return 0
 
@@ -432,17 +423,12 @@ def cmd_topshare(cfg: AnalysisConfig) -> int:
     counts = _top_counts(cfg, dataset)
     table = topshare_table(counts, cfg.p0, cfg.top_x, ci_level=cfg.ci_level)
     _emit_table(cfg, "topshare", table)
-    series = _table_series(table, (0, 2, 3))
     _emit_chart(
-        cfg,
-        "topshare_ci",
-        CiChartSpec(
-            series=series,
-            title=f"Top {cfg.top_x:g}% share by institution, with {100 * cfg.ci_level:g}% CIs",
-            y_label=f"Share in top {cfg.top_x:g}% (x100)",
-            x_label="Institution",
-            reference_line=100 * cfg.p0,
-        ),
+        cfg, "topshare_ci", table, (0, 2, 3),
+        title=f"Top {cfg.top_x:g}% share by institution, with {100 * cfg.ci_level:g}% CIs",
+        y_label=f"Share in top {cfg.top_x:g}% (x100)",
+        x_label="Institution",
+        reference_line=100 * cfg.p0,
     )
     return 0
 
@@ -518,14 +504,13 @@ def cmd_bootstrap(cfg: AnalysisConfig) -> int:
         seed=cfg.seed,
         ci_method=CiMethod(cfg.ci),
     )
-    one_sample = statistic in (BootstrapStatistic.MEAN, BootstrapStatistic.PROPORTION)
-    if one_sample:
+    if statistic in (BootstrapStatistic.MEAN, BootstrapStatistic.PROPORTION):
         if not cfg.institution:
             raise ConfigurationError(f"{cfg.statistic} bootstrap needs --institution")
-        labels = [cfg.institution]
+        keys = labels = [cfg.institution]
     else:
-        pairs = cfg.pair_list
-        labels = [label for pair in pairs for label in pair]
+        keys = cfg.pair_list
+        labels = [label for pair in keys for label in pair]
     _require_known(dataset, labels)
     if statistic in (BootstrapStatistic.PROPORTION, BootstrapStatistic.PROP_DIFF):
         per_paper = _top_weights(cfg, dataset)
@@ -541,13 +526,8 @@ def cmd_bootstrap(cfg: AnalysisConfig) -> int:
         BootstrapStatistic.PROP_DIFF: 0.0,
     }[statistic]
 
-    if one_sample:
-        data = [values[cfg.institution]]
-    else:
-        data = [(values[a], values[b]) for a, b in pairs]
-    results = bootstrap_samples(data, statistic, spec)
     payload = []
-    for r in results:
+    for r in bootstrap_samples(values, keys, statistic, spec):
         entry = r.to_json_dict()
         entry["null_value"] = null_value
         entry["ci_excludes_null"] = not (r.ci_low <= null_value <= r.ci_high)

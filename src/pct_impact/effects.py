@@ -65,28 +65,20 @@ def classify_magnitude(effect: float) -> Magnitude:
     return Magnitude.LARGE
 
 
-class _SummaryStats(NamedTuple):
+class SummaryStats(NamedTuple):
+    """Sample size, mean, sample SD (n-1 divisor) and SE of the mean.
+
+    For n = 1 the SD and SE are undefined: sd is None, and so is se.
+    """
+
     n: int
     mean: float
     sd: Optional[float]
-    se: Optional[float]
 
-
-class SummaryStats(_SummaryStats):
-    """Sample size, mean, sample SD (n-1 divisor) and SE of the mean.
-
-    For n = 1 the SD and SE are undefined and stored as None.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-    def __new__(cls, n: int, mean: float, sd: Optional[float], se: Optional[float]):
-        if sd is not None and se is not None and sd > 0:
-            expected = sd / math.sqrt(n)
-            if abs(se - expected) > 1e-12 * expected:
-                raise ValueError(f"SummaryStats: se {se} is not sd/sqrt(n) = {expected}")
-        return super().__new__(cls, n, mean, sd, se)
+    @property
+    def se(self) -> Optional[float]:
+        """sd / sqrt(n), the standard error of the mean."""
+        return None if self.sd is None else self.sd / math.sqrt(self.n)
 
     @classmethod
     def from_moments(cls, n: int, mean: float, sd: float) -> "SummaryStats":
@@ -95,7 +87,7 @@ class SummaryStats(_SummaryStats):
             raise ValueError(f"SummaryStats: n must be >= 1, got {n}")
         if sd < 0:
             raise ValueError(f"SummaryStats: sd must be >= 0, got {sd}")
-        return cls(n=n, mean=float(mean), sd=float(sd), se=float(sd) / math.sqrt(n))
+        return cls(n=n, mean=float(mean), sd=float(sd))
 
 
 def summarize(values: Sequence[float]) -> SummaryStats:
@@ -105,10 +97,10 @@ def summarize(values: Sequence[float]) -> SummaryStats:
         raise ValueError("summarize: empty input")
     mean = math.fsum(values) / n
     if n == 1:
-        return SummaryStats(n=1, mean=mean, sd=None, se=None)
+        return SummaryStats(n=1, mean=mean, sd=None)
     ss = math.fsum((v - mean) ** 2 for v in values)
     sd = math.sqrt(ss / (n - 1))
-    return SummaryStats(n=n, mean=mean, sd=sd, se=sd / math.sqrt(n))
+    return SummaryStats(n=n, mean=mean, sd=sd)
 
 
 class MeanTestResult(NamedTuple):
@@ -208,7 +200,7 @@ def one_sample_t(stats: SummaryStats, mu0: float, ci_level: float = 0.95) -> Mea
         raise SampleSizeError("one_sample_t: need n >= 2 with a defined SD")
     if stats.sd <= 0:
         raise DegenerateVarianceError("one_sample_t: sample SD is zero")
-    se = stats.se if stats.se is not None else stats.sd / math.sqrt(stats.n)
+    se = stats.se
     return _mean_test(
         "one_sample_t", ci_level, stats.mean, se, (stats.mean - mu0) / se, stats.n - 1,
         cohens_d_one(stats, mu0), "one-sample t",

@@ -93,39 +93,32 @@ class BootstrapResult(NamedTuple):
         }
 
 
-def _float_array(values, arrays: dict) -> np.ndarray:
-    """values as a float array, converted once per distinct object: arrays
-    maps id(values) to (values, array), and holding values keeps its id."""
-    if id(values) not in arrays:
-        arrays[id(values)] = values, np.asarray(values, dtype=float)
-    return arrays[id(values)][1]
-
-
 def _normalize_data(
-    data: Union[Sequence[float], tuple[Sequence[float], Sequence[float]]],
+    samples: Mapping[Hashable, Sequence[float]],
+    key: Hashable,
     statistic: BootstrapStatistic,
     arrays: dict,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    if statistic in _TWO_SAMPLE:
-        if not (isinstance(data, tuple) and len(data) == 2):
-            raise ValueError(f"{statistic.value} needs a (sample_a, sample_b) tuple")
-        a = _float_array(data[0], arrays)
-        b = _float_array(data[1], arrays)
+) -> tuple[tuple, np.ndarray, Optional[np.ndarray]]:
+    """key's labels, (a,) or (a, b), and their float arrays, b None for one
+    sample; arrays holds each label's array, converted once."""
+    two_sample = statistic in _TWO_SAMPLE
+    if two_sample and not (isinstance(key, tuple) and len(key) == 2):
+        raise ValueError(f"{statistic.value} needs a (sample_a, sample_b) tuple")
+    labels = key if two_sample else (key,)
+    for label in labels:
+        if label not in arrays:
+            arrays[label] = np.asarray(samples[label], dtype=float)
+    a = arrays[labels[0]]
+    if two_sample:
+        b = arrays[labels[1]]
         if a.size < 2 or b.size < 2:
             raise SampleSizeError("both samples need at least 2 observations")
-        return a, b
-    a = _float_array(data, arrays)
+        return labels, a, b
     if a.ndim != 1:
         raise ValueError(f"{statistic.value} needs a single flat sample")
     if a.size < 2:
         raise SampleSizeError("sample needs at least 2 observations")
-    return a, None
-
-
-def _point_estimate(a: np.ndarray, b: Optional[np.ndarray]) -> float:
-    if b is None:
-        return float(a.mean())
-    return float(a.mean() - b.mean())
+    return labels, a, None
 
 
 # Draws per block of replicates: the stream, index and value arrays of one
@@ -169,6 +162,7 @@ def _bounded_draws(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_statistics(
+    labels: tuple,
     a: np.ndarray,
     b: Optional[np.ndarray],
     children: Sequence[np.random.SeedSequence],
@@ -178,16 +172,16 @@ def _block_statistics(
 ) -> None:
     """Replicate statistics for one block, into out: group a reads draws
     [0, n_a), group b draws [n_a, n_a + n_b), as the two `integers` calls of
-    `_replicate` do. parts holds the means and rejected-draw rows of each
-    (array, first draw) part, computed once per block. Rows with a rejected
-    draw are recomputed by `_replicate`."""
-    for values, offset in ((a, 0),) if b is None else ((a, 0), (b, a.size)):
-        if (id(values), offset) not in parts:
+    `_replicate` do; labels names them. parts holds the means and
+    rejected-draw rows of each (label, first draw) part, computed once per
+    block. Rows with a rejected draw are recomputed by `_replicate`."""
+    for label, values, offset in zip(labels, (a, b), (0, a.size)):
+        if (label, offset) not in parts:
             idx, redraw = _bounded_draws(draws[:, offset : offset + values.size], values.size)
-            parts[id(values), offset] = values[idx].mean(axis=1), redraw
-    stats, redraw = parts[id(a), 0]
+            parts[label, offset] = values[idx].mean(axis=1), redraw
+    stats, redraw = parts[labels[0], 0]
     if b is not None:
-        means_b, redraw_b = parts[id(b), a.size]
+        means_b, redraw_b = parts[labels[1], a.size]
         stats, redraw = stats - means_b, redraw | redraw_b
     out[:] = stats
     for row in np.flatnonzero(redraw):
@@ -195,15 +189,15 @@ def _block_statistics(
 
 
 def _replicate_statistics(
-    samples: Sequence[tuple[np.ndarray, Optional[np.ndarray]]], spec: BootstrapSpec
+    samples: Sequence[tuple[tuple, np.ndarray, Optional[np.ndarray]]], spec: BootstrapSpec
 ) -> np.ndarray:
     """Replicate statistics, one row per sample: replicate i of every sample
     reads the i-th spawned child of the master seed. Each block of
     replicates builds its streams once, wide enough for the widest sample;
-    samples that hold one array at the same draw offset, such as the pairs
+    samples that hold one label at the same draw offset, such as the pairs
     1:k, share its indices and means."""
     children = np.random.SeedSequence(spec.seed).spawn(spec.replicates)
-    width = max(a.size + (0 if b is None else b.size) for a, b in samples)
+    width = max(a.size + (0 if b is None else b.size) for _, a, b in samples)
     words = (width + 1) // 2
     rows = max(1, _BLOCK_DRAWS // (2 * words))
     out = np.empty((len(samples), spec.replicates))
@@ -211,17 +205,19 @@ def _replicate_statistics(
         block = children[lo : lo + rows]
         draws = _uint32_streams(block, words)
         parts: dict = {}
-        for k, (a, b) in enumerate(samples):
-            _block_statistics(a, b, block, draws, parts, out[k, lo : lo + len(block)])
+        for k, (labels, a, b) in enumerate(samples):
+            _block_statistics(labels, a, b, block, draws, parts, out[k, lo : lo + len(block)])
     return out
 
 
 def _summarize(
     statistic: BootstrapStatistic,
     spec: BootstrapSpec,
-    point: float,
+    a: np.ndarray,
+    b: Optional[np.ndarray],
     stats: np.ndarray,
 ) -> BootstrapResult:
+    point = float(a.mean() if b is None else a.mean() - b.mean())
     se_boot = float(stats.std(ddof=1)) if spec.replicates > 1 else 0.0
     if se_boot == 0.0:
         warnings.warn(
@@ -249,25 +245,27 @@ def _summarize(
 
 
 def bootstrap_samples(
-    samples: Sequence[Union[Sequence[float], tuple[Sequence[float], Sequence[float]]]],
+    samples: Mapping[Hashable, Sequence[float]],
+    keys: Sequence[Hashable],
     statistic: BootstrapStatistic,
     spec: BootstrapSpec,
 ) -> list[BootstrapResult]:
-    """`bootstrap_statistic` for each of several samples (or sample pairs)
-    under one spec, with the replicate streams built once for all of them.
+    """`bootstrap_statistic` for each key under one spec, with the replicate
+    streams built once for all of them. A key is a label of samples, or a
+    pair (a, b) of labels for the two-sample statistics.
 
-    Replicate i of every sample uses the same i-th child stream, exactly as
+    Replicate i of every key uses the same i-th child stream, exactly as
     separate calls would, so each result equals its own call bit for bit.
-    An object passed in several samples is converted and resampled once.
+    A label named by several keys is converted and resampled once.
     """
     arrays: dict = {}
-    data = [_normalize_data(d, statistic, arrays) for d in samples]
+    data = [_normalize_data(samples, key, statistic, arrays) for key in keys]
     if not data:
         return []
     stats = _replicate_statistics(data, spec)
     return [
-        _summarize(statistic, spec, _point_estimate(a, b), row)
-        for (a, b), row in zip(data, stats)
+        _summarize(statistic, spec, a, b, row)
+        for (_, a, b), row in zip(data, stats)
     ]
 
 
@@ -287,7 +285,9 @@ def bootstrap_statistic(
     changes nothing: the replicates run as vectorised blocks in the
     calling thread.
     """
-    return bootstrap_samples([data], statistic, spec)[0]
+    if statistic in _TWO_SAMPLE and isinstance(data, tuple) and len(data) == 2:
+        return bootstrap_samples(dict(enumerate(data)), [(0, 1)], statistic, spec)[0]
+    return bootstrap_samples({0: data}, [0], statistic, spec)[0]
 
 
 class RankSumResult(NamedTuple):

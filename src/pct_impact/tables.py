@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import warnings
 from itertools import repeat
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .effects import (
     SummaryStats,
@@ -24,6 +24,7 @@ from .effects import (
     two_sample_prop_z,
     two_sample_welch_t,
 )
+from .errors import DegenerateVarianceError, SampleSizeError
 from .resampling import mann_whitney_pairs
 
 __all__ = [
@@ -42,12 +43,12 @@ PERCENT_NOTE = "Numbers are multiplied by 100 to convert them into percentages"
 class Cell(NamedTuple):
     """One table cell: raw value plus how many decimals to display.
 
-    precision None formats integers as integers; kind "p" applies the
+    kind "int" formats the value as an integer; kind "p" applies the
     p-value display rule. A None value renders as the undefined marker.
     """
 
     value: Union[float, int, None]
-    precision: Optional[int] = 2
+    precision: int = 2
     kind: str = "num"  # "num" | "p" | "int"
 
     def display(self) -> str:
@@ -145,21 +146,20 @@ def summary_table(
 ) -> ReportTable:
     """Mean percentile table: one column per institution, tested against mu0.
 
-    Groups with n < 2 get undefined markers in every inferential row and
-    trigger a warning.
+    Groups that one_sample_t rejects (n < 2 or zero SD) get undefined
+    markers in every inferential row and trigger a warning.
     """
     results = []
     for label, s in stats_by_group.items():
-        r = None
-        if s.n < 2 or s.sd is None or s.sd == 0:
+        try:
+            results.append((s, one_sample_t(s, mu0, ci_level=ci_level)))
+        except (SampleSizeError, DegenerateVarianceError):
             warnings.warn(
                 f"group {label!r} has n < 2 or zero variance; emitting undefined markers",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        else:
-            r = one_sample_t(s, mu0, ci_level=ci_level)
-        results.append((s, r))
+            results.append((s, None))
     rows = [
         ("Mean", lambda s, r: Cell(s.mean)),
         ("Standard deviation", lambda s, r: Cell(s.sd) if r else NA),

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -614,8 +615,10 @@ class TestOptionValues:
     ]
 
     def run_with(self, csv_path, command, key, value, spelling):
-        argv = [command, "--input", csv_path, "--out-dir", csv_path.parent / "out",
-                "--pairs", "A:B", "--institution", "A"]
+        argv = [command, "--input", csv_path, "--out-dir", csv_path.parent / "out"]
+        for default_key, default in (("pairs", "A:B"), ("institution", "A")):
+            if default_key != key:  # a flag would beat the config file's value
+                argv += ["--" + default_key, default]
         if spelling == "flag":
             return run(*argv, "--" + key.replace("_", "-"), value)
         config = csv_path.parent / "run.cfg"
@@ -641,6 +644,27 @@ class TestOptionValues:
                                                        spelling):
         assert self.run_with(inst_csv, command, "statistic", "bogus", spelling) == 2
         assert capsys.readouterr().err.startswith("configuration error: statistic must be")
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("summary", "scheme", " incites "),
+        ("topshare", "counting", " fractional "),
+        ("bootstrap", "ci", " percentile "),
+        ("bootstrap", "statistic", " mean-diff "),
+        ("summary", "format", " tsv,json,svg "),
+        ("bootstrap", "institution", " A "),
+        ("compare", "pairs", " A : B "),
+    ])
+    def test_padded_value_reads_the_same_from_a_flag_or_the_config_file(
+            self, inst_csv, capsys, command, key, value):
+        out = inst_csv.parent / "out"
+        seen = []
+        for spelling in ("flag", "config"):
+            code = self.run_with(inst_csv, command, key, value, spelling)
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+            shutil.rmtree(out, ignore_errors=True)
+            seen.append((code, capsys.readouterr(), files))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == 0 and seen[0][2]
 
     @pytest.mark.parametrize("value, on", [
         ("yes", True), ("on", True), ("1", True), (" True ", True),

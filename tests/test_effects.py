@@ -62,7 +62,10 @@ class TestSummarize:
 
     def test_se_is_sd_over_sqrt_n(self):
         s = summarize([1.0, 4.0, 9.0, 16.0])
-        assert s.se == pytest.approx(s.sd / 2.0, rel=1e-12)
+        assert s.se == s.sd / 2.0
+        for s in (summarize([0.1, 0.7, 2.9]), SummaryStats.from_moments(549, 32.15, 27.49),
+                  SummaryStats.from_moments(1, 5.0, 0.0)):
+            assert s.se == s.sd / math.sqrt(s.n)
 
     def test_simulated_institution2_moments(self):
         import numpy as np

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pct_impact import BootstrapSpec, CiMethod, CiSeries, PublicationRecord, SummaryStats
+from pct_impact import BootstrapSpec, CiMethod, CiSeries, PublicationRecord
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -50,7 +50,6 @@ def test_cli_import_skips_dataclasses():
     "build, good, bad",
     [
         (PublicationRecord, ("p", "i", 2001, ("A",), 1, None), ("p", "i", 2001, ("A",), -1)),
-        (SummaryStats, (4, 50.0, 2.0, 1.0), (4, 50.0, 2.0, 3.0)),
         (BootstrapSpec, (10, 0, CiMethod.PERCENTILE), (0, 0)),
         (CiSeries, ("x", 1.0, 0.0, 2.0), ("x", 3.0, 0.0, 2.0)),
     ],

@@ -206,34 +206,40 @@ def bootstrap_cases(draw):
         seed=draw(st.integers(0, 2**32 - 1)),
         ci_method=draw(st.sampled_from(list(CiMethod))),
     )
-    data, drawn = [], []  # drawn: the sample objects so far, which a later sample may reuse
+    samples, keys = {}, []  # a later key may name a label drawn before
 
     def side():
-        if drawn and draw(st.booleans()):
-            return draw(st.sampled_from(drawn))
-        drawn.append(sample(draw, statistic, draw(st.integers(2, 600))))
-        return drawn[-1]
+        if samples and draw(st.booleans()):
+            return draw(st.sampled_from(list(samples)))
+        label = f"s{len(samples)}"
+        samples[label] = sample(draw, statistic, draw(st.integers(2, 600)))
+        return label
 
     for _ in range(draw(st.integers(1, 3))):
         if statistic in (BootstrapStatistic.MEAN_DIFF, BootstrapStatistic.PROP_DIFF):
-            data.append((side(), side()))
+            keys.append((side(), side()))
         else:
-            data.append(side())
-    return statistic, spec, data
+            keys.append(side())
+    return statistic, spec, samples, keys
+
+
+def values_of(samples, key):
+    """What bootstrap_statistic takes for key: one sample, or a pair of them."""
+    return tuple(samples[label] for label in key) if isinstance(key, tuple) else samples[key]
 
 
 class TestBlockKernelEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(bootstrap_cases())
     def test_matches_per_replicate_loop(self, case):
-        statistic, spec, data = case
+        statistic, spec, samples, keys = case
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            batch = bootstrap_samples(data, statistic, spec)
-            single = bootstrap_statistic(data[0], statistic, spec)
+            batch = bootstrap_samples(samples, keys, statistic, spec)
+            single = bootstrap_statistic(values_of(samples, keys[0]), statistic, spec)
         assert single == batch[0]
-        for d, got in zip(data, batch):
-            assert got == reference_bootstrap(d, statistic, spec)
+        for key, got in zip(keys, batch, strict=True):
+            assert got == reference_bootstrap(values_of(samples, key), statistic, spec)
 
     def test_rejected_draws_fall_back_to_numpy(self):
         rng = np.random.default_rng(70_001)
@@ -247,21 +253,33 @@ class TestBlockKernelEquivalence:
         got = bootstrap_statistic((a, b), BootstrapStatistic.MEAN_DIFF, spec)
         assert got == reference_bootstrap((a, b), BootstrapStatistic.MEAN_DIFF, spec)
         # in a batch, a's indices and means are shared by every pair that
-        # starts with the object a, rejected rows included; a copy of a, or
-        # a list of its values, is converted and resampled on its own
-        c = rng.uniform(0, 100, 300)
-        pairs = [(a, b), (a, c), (a.copy(), b), (b, a), (a, b), (c, a.tolist())]
-        batch = bootstrap_samples(pairs, BootstrapStatistic.MEAN_DIFF, spec)
+        # starts with the label "a", rejected rows included; the same values
+        # under another label are converted and resampled on their own
+        samples = {"a": a, "b": b, "c": rng.uniform(0, 100, 300),
+                   "a copy": a.copy(), "a list": a.tolist()}
+        pairs = [("a", "b"), ("a", "c"), ("a copy", "b"), ("b", "a"), ("a", "b"),
+                 ("c", "a list"), ("a list", "a")]
+        batch = bootstrap_samples(samples, pairs, BootstrapStatistic.MEAN_DIFF, spec)
         for pair, result in zip(pairs, batch, strict=True):
-            assert result == bootstrap_statistic(pair, BootstrapStatistic.MEAN_DIFF, spec)
+            want = bootstrap_statistic(values_of(samples, pair), BootstrapStatistic.MEAN_DIFF, spec)
+            assert result == want
         assert batch[0] == got
-        singles = [a, a.tolist(), a, b]
-        batch = bootstrap_samples(singles, BootstrapStatistic.MEAN, spec)
-        for one, result in zip(singles, batch, strict=True):
-            assert result == reference_bootstrap(one, BootstrapStatistic.MEAN, spec)
+        singles = ["a", "a list", "a", "b"]
+        batch = bootstrap_samples(samples, singles, BootstrapStatistic.MEAN, spec)
+        for label, result in zip(singles, batch, strict=True):
+            assert result == reference_bootstrap(samples[label], BootstrapStatistic.MEAN, spec)
 
     def test_empty_batch(self):
-        assert bootstrap_samples([], BootstrapStatistic.MEAN, BootstrapSpec(10, 0)) == []
+        assert bootstrap_samples({}, [], BootstrapStatistic.MEAN, BootstrapSpec(10, 0)) == []
+
+    @pytest.mark.parametrize("statistic, key", [
+        (BootstrapStatistic.MEAN, "b"),
+        (BootstrapStatistic.MEAN_DIFF, ("a", "b")),
+        (BootstrapStatistic.MEAN_DIFF, ("b", "a")),
+    ])
+    def test_unknown_label_raises_key_error(self, statistic, key):
+        with pytest.raises(KeyError):
+            bootstrap_samples({"a": [1.0, 2.0]}, [key], statistic, BootstrapSpec(10, 0))
 
 
 class TestBootstrapAccuracy:

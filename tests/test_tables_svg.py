@@ -59,7 +59,7 @@ class TestSummaryTable:
         assert cells["N"]["3"].display() == "488"
 
     def test_small_group_gets_markers_and_warning(self):
-        stats = {"tiny": SummaryStats(n=1, mean=44.0, sd=None, se=None)}
+        stats = {"tiny": SummaryStats(n=1, mean=44.0, sd=None)}
         with pytest.warns(RuntimeWarning):
             table = summary_table(stats, 50.0)
         cells = _cell_map(table)
@@ -209,8 +209,8 @@ class TestPinnedOutputs:
     def test_summary_with_undefined_columns(self):
         stats = {
             "1": SummaryStats.from_moments(268, 49.67, 30.66),
-            "flat": SummaryStats(n=3, mean=40.0, sd=0.0, se=0.0),
-            "tiny": SummaryStats(n=1, mean=44.0, sd=None, se=None),
+            "flat": SummaryStats(n=3, mean=40.0, sd=0.0),
+            "tiny": SummaryStats(n=1, mean=44.0, sd=None),
         }
         with pytest.warns(RuntimeWarning) as record:
             table = summary_table(stats, 50.0)
