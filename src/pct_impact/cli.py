@@ -34,7 +34,7 @@ from .data import (
     write_rejects_report,
 )
 from .effects import summarize
-from .errors import ConfigurationError, DataError, UnknownInstitutionError
+from .errors import ConfigurationError, DataError, SampleSizeError, UnknownInstitutionError
 from .percentiles import (
     PercentileFormula,
     PercentileScheme,
@@ -470,13 +470,14 @@ def cmd_robustness(cfg: AnalysisConfig) -> int:
 
     reports = {}
     for label, rows in dataset.institution_rows.items():
-        if len(rows) < 2:
+        try:
+            report = outlier_sensitivity_report(
+                dataset.citations[rows].tolist(), ref_means[rows].tolist(),
+                weight[rows].tolist(), cfg.top_x,
+            )
+        except SampleSizeError:
             print(f"warning: institution {label!r} has n < 2; skipped", file=sys.stderr)
             continue
-        report = outlier_sensitivity_report(
-            dataset.citations[rows].tolist(), ref_means[rows].tolist(),
-            weight[rows].tolist(), cfg.top_x,
-        )
         reports[label] = report
         print(f"Institution {label} (n = {report.n}):")
         print(

@@ -25,10 +25,11 @@ _CONVERSIONS, and each record rule once, in _RULES, as a test over any
 number of a field's values: the column pass runs it over a column, and
 _check_record over one record, for PublicationRecord on construction and
 for _reject_reason on a converted row. Reference sets and institution
-samples are index arrays over the columns (Dataset.set_membership,
-Dataset.institution_rows; group_reference_sets and
-select_institution_sample return the same arrays). PublicationRecord
-objects are built only when a caller reads Dataset.records.
+samples are index arrays over the columns, both made by one sort and
+split (_sort_split): Dataset.set_membership, Dataset.institution_rows;
+group_reference_sets and select_institution_sample return the same
+arrays. PublicationRecord objects are built only when a caller reads
+Dataset.records.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import defaultdict
 from functools import cached_property
-from itertools import compress
+from itertools import compress, count
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -141,6 +143,20 @@ class SetMembership(NamedTuple):
     bounds: np.ndarray
 
 
+def _sort_split(keys: Iterable) -> tuple[list, np.ndarray, np.ndarray]:
+    """The distinct keys, sorted; the positions of keys in key order, each
+    key's positions ascending; and the bounds: sorted key j holds the
+    positions at bounds[j]:bounds[j + 1]."""
+    code = defaultdict(count().__next__)  # each key's place in first-seen order
+    codes = np.fromiter(map(code.__getitem__, keys), np.int64)
+    distinct = sorted(code)
+    place = np.empty(len(distinct), dtype=np.int64)
+    place[[code[k] for k in distinct]] = np.arange(len(distinct))
+    codes = place[codes]  # each key's place in distinct
+    counts = np.bincount(codes, minlength=len(distinct))
+    return distinct, np.argsort(codes, kind="stable"), np.concatenate(([0], np.cumsum(counts)))
+
+
 class Dataset:
     """Papers as columns, one entry per paper in input order.
 
@@ -164,12 +180,7 @@ class Dataset:
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
-            (self.ids, self.institution_labels, self.years, self.categories)
-            == (other.ids, other.institution_labels, other.years, other.categories)
-            and np.array_equal(self.citations, other.citations)
-            and np.array_equal(self.inv_percentiles, other.inv_percentiles, equal_nan=True)
-        )
+        return self.records == other.records
 
     @cached_property
     def records(self) -> tuple[PublicationRecord, ...]:
@@ -184,38 +195,22 @@ class Dataset:
     def set_membership(self) -> SetMembership:
         """The (category, year) reference sets; a paper with k categories is
         a full member of k sets."""
-        index: dict[tuple[str, int], int] = {}
-        first_seen = np.array(
-            [index.setdefault((c, y), len(index))
-             for y, cats in zip(self.years, self.categories) for c in cats],
-            dtype=np.int64,
+        keys, pairs, bounds = _sort_split(
+            (c, y) for y, cats in zip(self.years, self.categories) for c in cats
         )
-        keys = sorted(index)
-        position = np.empty(len(keys), dtype=np.int64)
-        position[[index[k] for k in keys]] = np.arange(len(keys))
-        set_ids = position[first_seen]
         rows = np.repeat(np.arange(len(self)), [len(c) for c in self.categories])
-        order = np.argsort(set_ids, kind="stable")
-        set_ids = set_ids[order]
         return SetMembership(
             keys=tuple(ReferenceSetKey(c, y) for c, y in keys),
-            rows=rows[order],
-            set_ids=set_ids,
-            bounds=np.searchsorted(set_ids, np.arange(len(keys) + 1)),
+            rows=rows[pairs],
+            set_ids=np.repeat(np.arange(len(keys)), np.diff(bounds)),
+            bounds=bounds,
         )
 
     @cached_property
     def institution_rows(self) -> dict[str, np.ndarray]:
         """Each institution's rows, in dataset order, keyed by sorted label."""
-        code: dict[str, int] = {}
-        codes = np.array(
-            [code.setdefault(label, len(code)) for label in self.institution_labels],
-            dtype=np.int64,
-        )
-        groups = np.split(
-            np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1]
-        )
-        return {label: groups[code[label]] for label in sorted(code)}
+        labels, rows, bounds = _sort_split(self.institution_labels)
+        return dict(zip(labels, np.split(rows, bounds[1:-1])))
 
     def _take(self, rows: Sequence[int]) -> "Dataset":
         return Dataset(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
@@ -24,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .data import Dataset
-from .errors import DegenerateReferenceError
+from .errors import DegenerateReferenceError, SampleSizeError
 
 __all__ = [
     "PercentileFormula",
@@ -323,24 +322,25 @@ def outlier_sensitivity_report(
     """Drop the top-cited paper and compare both indicators before and after.
 
     The per-paper reference means and top-x weights are taken as given and
-    held fixed; only the sample membership changes.
+    held fixed; only the sample membership changes. Of the papers tied at
+    the top citation count, the one with the smallest reference mean (the
+    largest normalized score) is dropped, then the one with the largest
+    weight, so the row order of the sample never decides. Raises
+    SampleSizeError for fewer than 2 papers.
     """
     n = len(citations)
     if n < 2:
-        raise ValueError("outlier sensitivity needs at least 2 papers")
+        raise SampleSizeError("outlier sensitivity needs at least 2 papers")
     if len(ref_means) != n or len(weights) != n:
         raise ValueError("citations, ref_means and weights must have equal length")
 
-    idx_max = max(range(n), key=lambda i: citations[i])
+    idx_max = max(range(n), key=lambda i: (citations[i], -ref_means[i], weights[i]))
     kept = [i for i in range(n) if i != idx_max]
 
     mncs_full = mncs(citations, ref_means)
     mncs_drop = mncs([citations[i] for i in kept], [ref_means[i] for i in kept])
-
-    # exact sums; a sample holds few distinct weights, so sum each value once
-    total = sum((Fraction(v) * k for v, k in Counter(weights).items()), Fraction(0))
-    share_full = float(total / n)
-    share_drop = float((total - Fraction(weights[idx_max])) / (n - 1))
+    share_full = math.fsum(weights) / n
+    share_drop = math.fsum([weights[i] for i in kept]) / (n - 1)
 
     def rel(a: float, b: float) -> float:
         return abs(a - b) / abs(a) if a != 0 else (0.0 if b == 0 else math.inf)
@@ -370,21 +370,15 @@ def outlier_sensitivity(
 
     The reference distribution (threshold and field means) is held fixed;
     only the institution sample loses its maximum. Defaults treat the
-    sample itself as its reference set.
+    sample itself as its reference set. outlier_sensitivity_report checks
+    the sample's size and lengths.
     """
-    n = len(citations)
-    if n < 2:
-        raise ValueError("outlier_sensitivity: need at least 2 papers")
     if reference_citations is None:
         reference_citations = citations
-    elif len(reference_citations) == 0:
+    if len(reference_citations) == 0:
         raise ValueError("outlier_sensitivity: empty reference_citations")
     if ref_means is None:
-        mean_ref = math.fsum(reference_citations) / len(reference_citations)
-        ref_means = [mean_ref] * n
-    elif len(ref_means) != n:
-        raise ValueError("outlier_sensitivity: ref_means length must match citations")
-
+        ref_means = [math.fsum(reference_citations) / len(reference_citations)] * len(citations)
     threshold, _, _, w_tie = _top_x_split(sorted(reference_citations), x)
     weights = [_top_x_weight(c, threshold, w_tie) for c in citations]
     return outlier_sensitivity_report(citations, ref_means, weights, x)

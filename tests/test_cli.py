@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -24,6 +25,8 @@ ROWS = [
 ]
 
 TIE_SET = [61] * 3 + [58] * 7 + [1] * 40
+
+DEMO = Path(__file__).parents[1] / "demos" / "data" / "institutions.csv"
 
 
 @pytest.fixture
@@ -311,21 +314,19 @@ class TestPercentilesCommand:
 
 
 class TestQuotedInput:
-    DEMO = Path(__file__).parents[1] / "demos" / "data" / "institutions.csv"
-
     @pytest.mark.parametrize("argv", [
         ["summary", "--format", "tsv,json,svg"],
         ["percentiles", "--scheme", "incites", "--inverted", "--zero-adjust"],
     ])
     def test_fully_quoted_demo_writes_the_same_bytes(self, argv, tmp_path, capsys):
-        with open(self.DEMO, newline="", encoding="utf-8") as fh:
+        with open(DEMO, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         quoted = tmp_path / "quoted.csv"
         with open(quoted, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
-        assert quoted.read_bytes() != self.DEMO.read_bytes()
+        assert quoted.read_bytes() != DEMO.read_bytes()
         runs = []
-        for path, out in ((self.DEMO, tmp_path / "plain"), (quoted, tmp_path / "quoted")):
+        for path, out in ((DEMO, tmp_path / "plain"), (quoted, tmp_path / "quoted")):
             assert run(argv[0], "--input", path, "--out-dir", out, *argv[1:]) == 0
             files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             runs.append((capsys.readouterr().out.replace(str(out), "OUT"), files))
@@ -384,6 +385,31 @@ class TestRobustnessCommand:
             assert {"mncs", "top_share", "n"} <= set(rep)
         stdout = capsys.readouterr().out
         assert stdout.index("Institution X") < stdout.index("Institution Y")
+
+    def test_shuffled_rows_drop_the_same_paper(self, tmp_path, capsys):
+        """Institution 3 of the demo has three papers with its top count, in
+        two reference sets; a row shuffle puts another of them first."""
+        header, *rows = DEMO.read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(3).shuffle(rows)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(header + "".join(rows), encoding="utf-8")
+        outputs = []
+        for path, out in ((DEMO, tmp_path / "plain"), (shuffled, tmp_path / "shuffled")):
+            assert run("robustness", "--input", path, "--out-dir", out, "--format", "json") == 0
+            outputs.append((out / "robustness.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_top_share_is_the_fractional_topshare(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("robustness", "--input", DEMO, "--out-dir", out, "--format", "json") == 0
+        assert run("topshare", "--input", DEMO, "--out-dir", out, "--format", "json",
+                   "--counting", "fractional") == 0
+        robustness = json.loads((out / "robustness.json").read_text())
+        table = json.loads((out / "topshare.json").read_text())
+        share = next(r["values"] for r in table["rows"] if r["label"].startswith("Share"))
+        assert dict(zip(table["columns"], share)) == {
+            label: 100 * report["top_share"]["full"] for label, report in robustness.items()
+        }
 
 
 class TestBootstrapCommand:
@@ -489,6 +515,13 @@ class TestSmallInstitution:
                    "--institution", "B", "--out-dir", tmp_path)
         assert code == 1
         assert capsys.readouterr().err.startswith("data error: sample needs at least 2")
+
+    def test_robustness_skips_with_a_warning(self, small_csv, tmp_path, capsys):
+        code = run("robustness", "--input", small_csv, "--out-dir", tmp_path,
+                   "--format", "json")
+        assert code == 0
+        assert "warning: institution 'B' has n < 2; skipped\n" in capsys.readouterr().err
+        assert list(json.loads((tmp_path / "robustness.json").read_text())) == ["A"]
 
     def test_summary_warning_is_one_line(self, small_csv, tmp_path, capsys):
         code = run("summary", "--input", small_csv, "--out-dir", tmp_path,

@@ -7,12 +7,13 @@ stays independent of the bisect-based implementation it checks.
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pct_impact.errors import DegenerateReferenceError
+from pct_impact.errors import DegenerateReferenceError, SampleSizeError
 from pct_impact.percentiles import (
     PercentileFormula,
     PercentileScheme,
@@ -260,8 +261,47 @@ class TestOutlierSensitivity:
         assert r.mncs_without_max == pytest.approx(1 / ((50 + 1) / 2))
 
     def test_needs_two_papers(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SampleSizeError, match="at least 2 papers"):
             outlier_sensitivity([5], 10.0)
+        with pytest.raises(SampleSizeError, match="at least 2 papers"):
+            outlier_sensitivity([5], 10.0, reference_citations=[5, 1, 0])
+        with pytest.raises(SampleSizeError, match="at least 2 papers"):
+            outlier_sensitivity_report([5], [1.0], [1.0])
+
+    def test_empty_sample_is_a_value_error(self):
+        """The defaulted reference set is the empty sample: no mean of it
+        is taken."""
+        with pytest.raises(ValueError, match="empty reference_citations"):
+            outlier_sensitivity([])
+
+    def test_unequal_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            outlier_sensitivity([5, 1], 10.0, ref_means=[1.0])
+        with pytest.raises(ValueError, match="equal length"):
+            outlier_sensitivity_report([5, 1], [1.0, 1.0], [1.0])
+
+    def test_tied_top_papers_are_dropped_by_value_not_position(self):
+        """Of the papers tied at the top count, the one with the smallest
+        reference mean goes, then the one with the largest weight, wherever
+        it sits in the sample."""
+        papers = [(9, 4.0, 0.5), (9, 2.0, 0.0), (9, 2.0, 1.0), (3, 1.0, 0.0), (1, 5.0, 0.0)]
+        reports = {
+            outlier_sensitivity_report(*map(list, zip(*order)))
+            for order in itertools.permutations(papers)
+        }
+        assert len(reports) == 1
+        (report,) = reports
+        rest = [p for p in papers if p != (9, 2.0, 1.0)]
+        assert report.mncs_without_max == mncs([c for c, _, _ in rest], [m for _, m, _ in rest])
+        assert report.top_share_without_max == 0.5 / 4
+
+    def test_shares_are_float_sums_of_the_weights(self):
+        """As topshare sums an institution's weights: math.fsum, then / n."""
+        for weights in ([0.1, 0.1, 0.1], [0.1, 0.2, 0.3, 0.7]):
+            n = len(weights)
+            report = outlier_sensitivity_report([*range(1, n), 9], [1.0] * n, weights)
+            assert report.top_share_full == math.fsum(weights) / n
+            assert report.top_share_without_max == math.fsum(weights[:-1]) / (n - 1)
 
     def test_fixed_reference_distribution(self):
         # institution is a subset of a larger reference set
