@@ -78,7 +78,8 @@ class AnalysisConfig(NamedTuple):
             raise ConfigurationError(f"top_x must be in (0, 100), got {self.top_x}")
         if not 0.0 < self.p0 < 1.0:
             raise ConfigurationError(f"p0 must be in (0, 1), got {self.p0}")
-        if not 0.0 < self.ci_level < 1.0:
+        # as effects checks it: a level whose upper quantile rounds to 1 counts as 1
+        if not (0.0 < self.ci_level and 0.5 + self.ci_level / 2.0 < 1.0):
             raise ConfigurationError(f"ci_level must be in (0, 1), got {self.ci_level}")
         for key, allowed in _CHOICES.items():
             for value in self.formats if key == "format" else [getattr(self, key)]:
@@ -158,6 +159,8 @@ def _read_value(key: str, raw: str) -> object:
     """The value of config key from its text, whether a flag or the config
     file gave it, trimmed of surrounding space."""
     raw = raw.strip()
+    if "\0" in raw:  # only a config file can hold one; no path can
+        raise ConfigurationError(f"{key} must not hold a NUL byte, got {raw!r}")
     try:
         if key in _BOOL_KEYS:
             return _BOOLEANS[raw.lower()]
@@ -173,7 +176,11 @@ def _read_value(key: str, raw: str) -> object:
 def read_config_file(path: str) -> dict:
     """Flat key=value config; '#' starts a comment, blank lines ignored."""
     values: dict = {}
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    for i, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -565,7 +572,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except DataError as exc:
             print(f"data error: {exc}", file=sys.stderr)
             return 1
-        except (ConfigurationError, ValueError, OSError) as exc:  # OSError: an unreadable path
+        except (ConfigurationError, OSError) as exc:  # OSError: an unreadable path
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
 

@@ -115,7 +115,6 @@ class MeanTestResult(NamedTuple):
     ci_high: float
     effect_d: float
     magnitude: Magnitude
-    method: str
     pooled_sd: Optional[float] = None
 
 
@@ -130,19 +129,20 @@ class ProportionTestResult(NamedTuple):
     ci_high: float
     effect_h: float
     magnitude: Magnitude
-    method: str
 
 
 def _upper_quantile(test: str, ci_level: float) -> float:
-    """The quantile whose critical value bounds a two-sided ci_level interval."""
-    if not 0.0 < ci_level < 1.0:
+    """The quantile whose critical value bounds a two-sided ci_level interval.
+    The last double below 1 counts as 1: its quantile rounds to 1."""
+    q = 0.5 + ci_level / 2.0
+    if not (0.0 < ci_level and q < 1.0):
         raise ValueError(f"{test}: ci_level must be in (0, 1), got {ci_level}")
-    return 0.5 + ci_level / 2.0
+    return q
 
 
 def _mean_test(
     test: str, ci_level: float, estimate: float, se: float, t: float, df: float,
-    d: float, method: str, sp: Optional[float] = None,
+    d: float, sp: Optional[float] = None,
 ) -> MeanTestResult:
     """Two-tailed p, the t interval around estimate and the magnitude of d."""
     crit = t_quantile(_upper_quantile(test, ci_level), df)
@@ -156,13 +156,12 @@ def _mean_test(
         ci_high=estimate + crit * se,
         effect_d=d,
         magnitude=classify_magnitude(d),
-        method=method,
         pooled_sd=sp,
     )
 
 
 def _proportion_test(
-    test: str, ci_level: float, estimate: float, se: float, z: float, h: float, method: str
+    test: str, ci_level: float, estimate: float, se: float, z: float, h: float
 ) -> ProportionTestResult:
     """Two-tailed p, the Wald interval around estimate and the magnitude of h."""
     crit = normal_quantile(_upper_quantile(test, ci_level))
@@ -175,7 +174,6 @@ def _proportion_test(
         ci_high=estimate + crit * se,
         effect_h=h,
         magnitude=classify_magnitude(h),
-        method=method,
     )
 
 
@@ -203,7 +201,7 @@ def one_sample_t(stats: SummaryStats, mu0: float, ci_level: float = 0.95) -> Mea
     se = stats.se
     return _mean_test(
         "one_sample_t", ci_level, stats.mean, se, (stats.mean - mu0) / se, stats.n - 1,
-        cohens_d_one(stats, mu0), "one-sample t",
+        cohens_d_one(stats, mu0),
     )
 
 
@@ -234,8 +232,7 @@ def two_sample_pooled_t(
     se = math.sqrt(sp**2 * (a.n + b.n) / (a.n * b.n))
     diff = a.mean - b.mean
     return _mean_test(
-        "two_sample_pooled_t", ci_level, diff, se, diff / se, a.n + b.n - 2, diff / sp,
-        "two-sample pooled t", sp,
+        "two_sample_pooled_t", ci_level, diff, se, diff / se, a.n + b.n - 2, diff / sp, sp,
     )
 
 
@@ -258,8 +255,7 @@ def two_sample_welch_t(
     diff = a.mean - b.mean
     sp = pooled_sd(a, b)
     return _mean_test(
-        "two_sample_welch_t", ci_level, diff, se, diff / se, df, diff / sp,
-        "two-sample Welch t", sp,
+        "two_sample_welch_t", ci_level, diff, se, diff / se, df, diff / sp, sp,
     )
 
 
@@ -292,7 +288,7 @@ def one_sample_prop_z(
     se0 = math.sqrt(p0 * (1.0 - p0) / n)
     return _proportion_test(
         "one_sample_prop_z", ci_level, p, math.sqrt(p * (1.0 - p) / n), (p - p0) / se0,
-        cohens_h_one(p, p0), "one-sample proportion z (Wald CI)",
+        cohens_h_one(p, p0),
     )
 
 
@@ -320,7 +316,7 @@ def two_sample_prop_z(
     se_unpooled = math.sqrt(p1 * (1.0 - p1) / n1 + p2 * (1.0 - p2) / n2)
     return _proportion_test(
         "two_sample_prop_z", ci_level, diff, se_unpooled, diff / se_pooled,
-        cohens_h_one(p1, p2), "two-sample proportion z (pooled SE for z, unpooled for CI)",
+        cohens_h_one(p1, p2),
     )
 
 

@@ -1,12 +1,13 @@
 """Distribution kernels used by every p-value and confidence interval.
 
-Pure Python on :mod:`math` alone, so importing them loads no compiled
-extension. All functions are pure and thread-safe; the only module-level
-state is a table of constants built at import.
+The normal distribution comes from :class:`statistics.NormalDist`; the t
+kernels are pure Python on :mod:`math`. Importing them loads no numpy. All
+functions are pure and thread-safe; the only module-level state is one
+``NormalDist`` and a table of constants built at import.
 
-- ``normal_cdf``: ``math.erf``.
-- ``normal_quantile``: Wichura's PPND16, Algorithm AS 241, *Applied
-  Statistics* 37(3), 1988; about 1e-16 relative.
+- ``normal_cdf``: ``NormalDist.cdf``, which is ``math.erf``.
+- ``normal_quantile``: ``NormalDist.inv_cdf``, which is Wichura's PPND16,
+  Algorithm AS 241, *Applied Statistics* 37(3), 1988; about 1e-16 relative.
 - ``t_cdf``: the smaller tail ½·I(df/2, ½; df/(df + x²)) of the regularized
   incomplete beta function, returned as ``tail`` for x < 0 and
   ``1 - tail`` for x > 0. For df/2 ≥ 15 and x² < 0.43·df, I comes from the
@@ -25,10 +26,13 @@ df = 1 and df = 2 use closed forms; df = inf is the normal limit.
 """
 
 import math
+import statistics
 
 __all__ = ["normal_cdf", "normal_quantile", "t_cdf", "t_quantile"]
 
-_SQRT2 = math.sqrt(2.0)
+# The t kernels call its inv_cdf directly, not normal_quantile, so a trace of
+# normal_quantile counts only the callers outside this module.
+_NORMAL = statistics.NormalDist()
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _EPS = 2.220446049250313e-16
@@ -36,68 +40,16 @@ _EPS = 2.220446049250313e-16
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF, accurate to machine precision via erf."""
-    if not math.isfinite(x):
-        if math.isnan(x):
-            raise ValueError("normal_cdf: x must not be NaN")
-        return 0.0 if x < 0 else 1.0
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
-
-
-def _poly(coefficients: tuple[float, ...], x: float) -> float:
-    """Horner evaluation; coefficients from the constant term up."""
-    result = 0.0
-    for c in reversed(coefficients):
-        result = result * x + c
-    return result
-
-
-# AS 241 (PPND16): rational approximations for |q - 1/2| <= 0.425, for
-# r = sqrt(-log(min(q, 1 - q))) <= 5, and beyond.
-_CENTRAL = (
-    (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
-     1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
-     3.3430575583588128105e4, 2.5090809287301226727e3),
-    (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
-     2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
-     5.2264952788528545610e3),
-)
-_INTERMEDIATE = (
-    (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
-     3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
-     2.27238449892691845833e-2, 7.74545014278341407640e-4),
-    (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
-     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
-     1.05075007164441684324e-9),
-)
-_FAR = (
-    (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
-     2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
-     2.71155556874348757815e-5, 2.01033439929228813265e-7),
-    (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
-     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
-     2.04426310338993978564e-15),
-)
+    if math.isnan(x):
+        raise ValueError("normal_cdf: x must not be NaN")
+    return _NORMAL.cdf(x)
 
 
 def normal_quantile(q: float) -> float:
     """Inverse of the standard normal CDF for q in (0, 1)."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"normal_quantile: q must be in (0, 1), got {q}")
-    return _ppnd16(q)
-
-
-def _ppnd16(q: float) -> float:
-    """AS 241 for q in (0, 1). The t kernels call this, not the public name,
-    so a trace of normal_quantile counts only the callers outside."""
-    dq = q - 0.5
-    if abs(dq) <= 0.425:
-        r = 0.180625 - dq * dq
-        return dq * _poly(_CENTRAL[0], r) / _poly(_CENTRAL[1], r)
-    r = math.sqrt(-math.log(min(q, 1.0 - q)))
-    num, den = _INTERMEDIATE if r <= 5.0 else _FAR
-    r -= 1.6 if r <= 5.0 else 5.0
-    x = _poly(num, r) / _poly(den, r)
-    return -x if dq < 0 else x
+    return _NORMAL.inv_cdf(q)
 
 
 # Below this a = df/2 the continued fraction is used throughout, and the
@@ -252,7 +204,7 @@ def _hill_start(p: float, df: float) -> float:
     y = math.exp(log_y)
     if y > 0.05 + a:
         # asymptotic inverse expansion about the normal deviate
-        z = _ppnd16(p)
+        z = _NORMAL.inv_cdf(p)
         y = z * z
         if df < 5.0:
             c += 0.3 * (df - 4.5) * (z + 0.6)
@@ -290,7 +242,7 @@ def t_quantile(q: float, df: float) -> float:
     if not 0.0 < q < 1.0:
         raise ValueError(f"t_quantile: q must be in (0, 1), got {q}")
     if df > 1e20:  # and inf: the t correction, about (x³ + x)/(4·df), is below rounding
-        return _ppnd16(q)
+        return _NORMAL.inv_cdf(q)
     p = min(q, 1.0 - q)  # the smaller tail; 1 - q is exact for q >= 1/2
     if p == 0.5:
         return 0.0

@@ -622,6 +622,54 @@ class TestErrorPaths:
         lines = (out / "percentiles.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 surviving rows
 
+    def test_years_outside_int64(self, tmp_path, capsys):
+        # a year is any Python int: sets sort by year as numbers, and
+        # --last-year compares them exactly
+        big = str(10**29)
+        csv_path = tmp_path / "years.csv"
+        csv_path.write_text(HEADER + "".join(
+            f"{pid},{inst},{year},C,{cits},\n" for pid, inst, year, cits in [
+                ("a1", "A", "-5", 5), ("a2", "A", "-5", 3), ("a3", "A", "2001", 4),
+                ("a4", "A", "2001", 2), ("b1", "B", big, 7), ("b2", "B", big, 1),
+                ("b3", "B", "2001", 6), ("b4", "B", "2001", 9),
+            ]), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("percentiles", "--input", csv_path, "--out-dir", out) == 0
+        assert capsys.readouterr().err == (
+            "reference set C:-5: 2 papers, 0 tie group(s)\n"
+            "reference set C:2001: 4 papers, 0 tie group(s)\n"
+            f"reference set C:{big}: 2 papers, 0 tie group(s)\n"
+        )
+        sets = [line.split(",")[1] for line in
+                (out / "percentiles.csv").read_text().splitlines()[1:]]
+        assert sets == ["C:-5"] * 2 + ["C:2001"] * 2 + [f"C:{big}"] * 2 + ["C:2001"] * 2
+        for flags, n_b in (([], "4"), (["--last-year", "2001"], "2")):
+            assert run("summary", "--input", csv_path, "--out-dir", out, *flags) == 0
+            rows = (out / "summary.tsv").read_text().splitlines()
+            assert "\t".join(["N", "4", n_b]) in rows
+
+    def test_config_file_not_utf8(self, inst_csv, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"mu0 = \xff\n")
+        assert run("summary", "--input", inst_csv, "--config", config,
+                   "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {config}: 'utf-8' codec can't decode byte 0xff in position 6: "
+            "invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize("key", ["out_dir", "input", "mu0"])
+    def test_nul_byte_in_a_config_value(self, inst_csv, tmp_path, capsys, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = a\0b\n", encoding="utf-8")
+        argv = ["summary", "--config", config]
+        argv += [] if key == "input" else ["--input", inst_csv]
+        argv += [] if key == "out_dir" else ["--out-dir", tmp_path / "out"]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {key} must not hold a NUL byte, got 'a\\x00b'\n"
+        )
+
 
 class TestOptionValues:
     """A value is read and checked by one rule, whether a flag or the config
@@ -633,6 +681,8 @@ class TestOptionValues:
         ("top_x", "100", "top_x must be in (0, 100), got 100.0"),
         ("p0", "0", "p0 must be in (0, 1), got 0.0"),
         ("ci_level", "1", "ci_level must be in (0, 1), got 1.0"),
+        # its upper quantile 0.5 + ci_level/2 rounds to 1
+        ("ci_level", "0.9999999999999999", "ci_level must be in (0, 1), got 0.9999999999999999"),
         ("scheme", "bogus", "scheme must be common or incites, got bogus"),
         ("counting", "bogus", "counting must be binary or fractional, got bogus"),
         ("ci", "bogus", "ci must be normal or percentile, got bogus"),

@@ -181,14 +181,24 @@ def test_cli_runs(command, data):
     # among them has the institution and inv_percentile of a kept row
     kept = [row for row in rows if row[4] != "-1" and "\t" not in row[1]]
     looked_up = _top_x_lookups(argv, labels)
-    if len(reasons) / len(rows) > 0.10:
+    over_threshold = len(reasons) / len(rows) > 0.10
+    # the one configuration error a drawn run can meet: binary top-x
+    # counting with neither --inverted nor an inv_percentile on every row
+    needs_inverted = (
+        not over_threshold and looked_up is not None
+        and {row[1] for row in kept}.issuperset(looked_up)
+        and "--inverted" not in argv and not all(row[5] for row in kept)
+    )
+    if over_threshold:
         assert code == 1
         assert (f"data error: {len(reasons)} of {len(rows)} rows rejected, above the 10% "
                 "threshold\n") in text
-    elif (looked_up is not None and {row[1] for row in kept}.issuperset(looked_up)
-          and "--inverted" not in argv and not all(row[5] for row in kept)):
-        assert code == 2
+    assert (code == 2) == needs_inverted
+    if needs_inverted:
         assert "configuration error: top-x classification needs inverted percentiles" in text
+    errors = [line.partition(":")[0] for line in text.splitlines()
+              if line.startswith(("data error:", "configuration error:"))]
+    assert errors == {0: [], 1: ["data error"], 2: ["configuration error"]}[code]
 
     if code == 0 or "rejects.csv" in files:
         rejects = _table("rejects.csv", files["rejects.csv"])[1:] if "rejects.csv" in files else []

@@ -302,7 +302,7 @@ class TestTwoSampleProportion:
     (two_sample_welch_t, (INST1, INST2)),
     (two_sample_prop_z, (30, 268, 60, 549)),
 ])
-@pytest.mark.parametrize("ci_level", [0.0, 1.0, 1.5, -0.2])
+@pytest.mark.parametrize("ci_level", [0.0, 1.0, 1.5, -0.2, 1.0 - 2.0**-53, math.nan])
 def test_two_sample_tests_check_ci_level(test, args, ci_level):
     message = f"{test.__name__}: ci_level must be in (0, 1), got {ci_level}"
     with pytest.raises(ValueError, match=re.escape(message)):

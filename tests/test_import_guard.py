@@ -1,6 +1,8 @@
 """Importing the package or its command line must not load scipy: the
-kernels are pure Python, and scipy.stats alone costs about 0.8 s. Nor
-dataclasses; the value types that validate their fields still do so."""
+kernels take the normal distribution from the standard library's
+statistics.NormalDist and the t distribution from pure Python, and
+scipy.stats alone costs about 0.8 s. Nor dataclasses; the value types that
+validate their fields still do so."""
 
 import os
 import subprocess

@@ -137,3 +137,34 @@ def test_kernels_are_pure_across_repeat_calls():
     first = [t_cdf(1.234, 17), normal_cdf(0.87), t_quantile(0.9, 12)]
     again = [t_cdf(1.234, 17), normal_cdf(0.87), t_quantile(0.9, 12)]
     assert first == again
+
+
+# repr() of each output, so that a change in any last bit shows here, where
+# the grid's 1e-13 tolerance would let it pass. The q values cover all
+# three AS 241 branches: |q - 1/2| <= 0.425, r <= 5 and r > 5.
+PINNED = [
+    (normal_quantile, (0.5,), "0.0"),
+    (normal_quantile, (0.9,), "1.2815515655446008"),
+    (normal_quantile, (0.95,), "1.6448536269514715"),
+    (normal_quantile, (0.975,), "1.9599639845400536"),
+    (normal_quantile, (0.995,), "2.5758293035489"),
+    (normal_quantile, (0.3,), "-0.5244005127080407"),
+    (normal_quantile, (0.02,), "-2.0537489106318225"),
+    (normal_quantile, (0.999999,), "4.753424308817089"),
+    (normal_quantile, (1e-20,), "-9.262340089798405"),
+    (normal_quantile, (1e-300,), "-37.0470962993612"),
+    (normal_cdf, (1.96,), "0.9750021048517796"),
+    (normal_cdf, (-1.96,), "0.024997895148220428"),
+    (normal_cdf, (8.0,), "0.9999999999999993"),
+    (normal_cdf, (-8.0,), "6.106226635438361e-16"),
+    (normal_cdf, (40.0,), "1.0"),
+    (normal_cdf, (-40.0,), "0.0"),
+    (t_quantile, (0.975, 7), "2.364624251592786"),
+    (t_quantile, (0.025, 7), "-2.3646242515927853"),
+    (t_quantile, (0.975, 1e21), "1.9599639845400536"),
+]
+
+
+@pytest.mark.parametrize("kernel,args,expected", PINNED)
+def test_normal_values_pinned_bit_for_bit(kernel, args, expected):
+    assert repr(kernel(*args)) == expected
