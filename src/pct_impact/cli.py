@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import math
 import os
@@ -245,14 +246,10 @@ def _load_dataset(cfg: AnalysisConfig) -> Dataset:
     with open(path, "rb") as fh:
         dataset, rejects = parse_records(fh)
     if rejects:
-        out_dir = Path(cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "rejects.csv", "w", encoding="utf-8") as fh:
-            write_rejects_report(rejects, fh)
-        print(
-            f"warning: {len(rejects)} row(s) rejected; see {out_dir / 'rejects.csv'}",
-            file=sys.stderr,
-        )
+        report = io.StringIO()
+        write_rejects_report(rejects, report)
+        path = _write_text(cfg, "rejects.csv", report.getvalue())
+        print(f"warning: {len(rejects)} row(s) rejected; see {path}", file=sys.stderr)
     if cfg.last_year is not None:
         dataset = filter_years(dataset, cfg.last_year)
     return dataset
@@ -361,9 +358,8 @@ def cmd_percentiles(cfg: AnalysisConfig) -> int:
     """write per-paper percentile assignments"""
     dataset = _load_dataset(cfg)
     best = assign_best_percentiles(dataset, cfg.percentile_scheme, x=cfg.top_x)
-    for label, size, ties in zip(
-        best.set_labels, best.set_sizes.tolist(), best.set_tie_groups.tolist()
-    ):
+    sizes = np.diff(dataset.set_membership.bounds).tolist()
+    for label, size, ties in zip(best.set_labels, sizes, best.set_tie_groups.tolist()):
         print(f"reference set {label}: {size} papers, {ties} tie group(s)", file=sys.stderr)
     lines = ["paper_id,reference_set,rank,percentile,tie_group_size,top_x_weight\n"]
     labels = tuple(map(_csv_field, best.set_labels))
@@ -581,7 +577,10 @@ def console_main() -> None:
     """The process entry point of ``pct-impact`` and ``python -m
     pct_impact.cli``: main(), then exit without the interpreter's final
     garbage collection, which would walk every object the run left behind.
+    stdout writes a path's undecodable bytes (an argument decoded with
+    surrogateescape) back as they were, even when its encoding is strict.
     main() itself changes nothing process-wide."""
+    sys.stdout.reconfigure(errors="surrogateescape")
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -141,10 +141,15 @@ def _upper_quantile(test: str, ci_level: float) -> float:
 
 
 def _mean_test(
-    test: str, ci_level: float, estimate: float, se: float, t: float, df: float,
-    d: float, sp: Optional[float] = None,
+    test: str, ci_level: float, estimate: float, null: float, se: float, df: float,
+    sd: float, sp: Optional[float] = None,
 ) -> MeanTestResult:
-    """Two-tailed p, the t interval around estimate and the magnitude of d."""
+    """t = (estimate - null) / se and d = (estimate - null) / sd, with the
+    two-tailed p, t interval and magnitude of d; se and sd must be > 0."""
+    if not (se > 0 and sd > 0):
+        raise DegenerateVarianceError(f"{test}: the SE or SD is zero or underflows to zero")
+    t = (estimate - null) / se
+    d = (estimate - null) / sd
     crit = t_quantile(_upper_quantile(test, ci_level), df)
     return MeanTestResult(
         estimate=estimate,
@@ -161,9 +166,13 @@ def _mean_test(
 
 
 def _proportion_test(
-    test: str, ci_level: float, estimate: float, se: float, z: float, h: float
+    test: str, ci_level: float, estimate: float, null: float, se: float, se_null: float, h: float
 ) -> ProportionTestResult:
-    """Two-tailed p, the Wald interval around estimate and the magnitude of h."""
+    """z = (estimate - null) / se_null, the two-tailed p, the Wald interval
+    estimate +- crit * se and the magnitude of h; se_null must be > 0."""
+    if not se_null > 0:
+        raise DegenerateVarianceError(f"{test}: the null SE is zero or underflows to zero")
+    z = (estimate - null) / se_null
     crit = normal_quantile(_upper_quantile(test, ci_level))
     return ProportionTestResult(
         estimate=estimate,
@@ -196,13 +205,7 @@ def one_sample_t(stats: SummaryStats, mu0: float, ci_level: float = 0.95) -> Mea
     """
     if stats.n < 2 or stats.sd is None:
         raise SampleSizeError("one_sample_t: need n >= 2 with a defined SD")
-    if stats.sd <= 0:
-        raise DegenerateVarianceError("one_sample_t: sample SD is zero")
-    se = stats.se
-    return _mean_test(
-        "one_sample_t", ci_level, stats.mean, se, (stats.mean - mu0) / se, stats.n - 1,
-        cohens_d_one(stats, mu0),
-    )
+    return _mean_test("one_sample_t", ci_level, stats.mean, mu0, stats.se, stats.n - 1, stats.sd)
 
 
 def pooled_sd(a: SummaryStats, b: SummaryStats) -> float:
@@ -230,9 +233,8 @@ def two_sample_pooled_t(
     """
     sp = pooled_sd(a, b)
     se = math.sqrt(sp**2 * (a.n + b.n) / (a.n * b.n))
-    diff = a.mean - b.mean
     return _mean_test(
-        "two_sample_pooled_t", ci_level, diff, se, diff / se, a.n + b.n - 2, diff / sp, sp,
+        "two_sample_pooled_t", ci_level, a.mean - b.mean, 0.0, se, a.n + b.n - 2, sp, sp
     )
 
 
@@ -248,14 +250,13 @@ def two_sample_welch_t(
     if a.n < 2 or b.n < 2 or a.sd is None or b.sd is None:
         raise SampleSizeError("two_sample_welch_t: both groups need n >= 2")
     va, vb = a.sd**2 / a.n, b.sd**2 / b.n
-    if va + vb == 0:
-        raise DegenerateVarianceError("two_sample_welch_t: both variances are zero")
-    se = math.sqrt(va + vb)
-    df = (va + vb) ** 2 / (va**2 / (a.n - 1) + vb**2 / (b.n - 1))
-    diff = a.mean - b.mean
+    df_denominator = va**2 / (a.n - 1) + vb**2 / (b.n - 1)
+    if df_denominator == 0:
+        raise DegenerateVarianceError("two_sample_welch_t: the df denominator is zero")
     sp = pooled_sd(a, b)
     return _mean_test(
-        "two_sample_welch_t", ci_level, diff, se, diff / se, df, diff / sp, sp,
+        "two_sample_welch_t", ci_level, a.mean - b.mean, 0.0, math.sqrt(va + vb),
+        (va + vb) ** 2 / df_denominator, sp, sp,
     )
 
 
@@ -285,10 +286,9 @@ def one_sample_prop_z(
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"one_sample_prop_z: p0 must be in (0, 1), got {p0}")
     p = count / n
-    se0 = math.sqrt(p0 * (1.0 - p0) / n)
     return _proportion_test(
-        "one_sample_prop_z", ci_level, p, math.sqrt(p * (1.0 - p) / n), (p - p0) / se0,
-        cohens_h_one(p, p0),
+        "one_sample_prop_z", ci_level, p, p0, math.sqrt(p * (1.0 - p) / n),
+        math.sqrt(p0 * (1.0 - p0) / n), cohens_h_one(p, p0),
     )
 
 
@@ -311,12 +311,10 @@ def two_sample_prop_z(
         raise DegenerateVarianceError(
             "two_sample_prop_z: pooled proportion is degenerate (0 or 1)"
         )
-    diff = p1 - p2
-    se_pooled = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
-    se_unpooled = math.sqrt(p1 * (1.0 - p1) / n1 + p2 * (1.0 - p2) / n2)
     return _proportion_test(
-        "two_sample_prop_z", ci_level, diff, se_unpooled, diff / se_pooled,
-        cohens_h_one(p1, p2),
+        "two_sample_prop_z", ci_level, p1 - p2, 0.0,
+        math.sqrt(p1 * (1.0 - p1) / n1 + p2 * (1.0 - p2) / n2),
+        math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2)), cohens_h_one(p1, p2),
     )
 
 

@@ -58,7 +58,7 @@ class RejectThresholdError(DataError):
 
 
 class DegenerateVarianceError(DataError):
-    """A variance required by a test is zero."""
+    """A variance or standard error required by a test is zero or underflows to zero."""
 
 
 class DegenerateReferenceError(DataError):

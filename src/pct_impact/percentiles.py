@@ -80,17 +80,18 @@ class _SetRanks(NamedTuple):
     percentile: np.ndarray
     tied_with: np.ndarray
     top_x_weight: np.ndarray
-    set_sizes: np.ndarray
     set_tie_groups: np.ndarray  # tie groups of two or more papers
 
 
 def _rank_in_sets(
-    set_ids: np.ndarray, citations: np.ndarray, n_sets: int, scheme: PercentileScheme, x: float
+    set_ids: np.ndarray, bounds: np.ndarray, citations: np.ndarray, scheme: PercentileScheme,
+    x: float,
 ) -> _SetRanks:
     """Rank every (set, paper) pair within its set, all sets in one pass.
 
-    Pair i is a paper with citations[i] in set set_ids[i] (0 <= set id <
-    n_sets, every set non-empty); pair results come back in input order.
+    Pair i is a paper with citations[i] in set set_ids[i]; set j holds
+    bounds[j + 1] - bounds[j] > 0 pairs, as in SetMembership.bounds. Pair
+    results come back in input order.
     The rank i is ascending (or descending when inverted) with max-tie
     resolution: a tie group at sorted positions j..k of its set all get
     rank k, so a tied paper never ranks better than the last paper it ties
@@ -102,7 +103,7 @@ def _rank_in_sets(
     c = citations[order]
     s = set_ids[order]
     m = len(c)
-    bounds = np.searchsorted(s, np.arange(n_sets + 1))  # set j is c[bounds[j]:bounds[j + 1]]
+    n_sets = len(bounds) - 1  # sorted by set, set j is c[bounds[j]:bounds[j + 1]]
     # tie groups: runs of equal (set, citations) in sorted order, group g at first[g]:last[g]
     first = np.flatnonzero(np.concatenate(([True], (c[1:] != c[:-1]) | (s[1:] != s[:-1]))))
     last = np.concatenate((first[1:], [m]))
@@ -134,7 +135,6 @@ def _rank_in_sets(
         percentile=pct[pair_group],
         tied_with=size[pair_group],
         top_x_weight=weight[pair_group],
-        set_sizes=bounds[1:] - bounds[:-1],
         set_tie_groups=np.bincount(g_set[size > 1], minlength=n_sets),
     )
 
@@ -160,7 +160,9 @@ def percentile_rank(
         ids = [str(i) for i in range(n)]
     elif len(ids) != n:
         raise ValueError("percentile_rank: ids and citations lengths differ")
-    ranked = _rank_in_sets(np.zeros(n, dtype=np.int64), np.asarray(citations), 1, scheme, x)
+    ranked = _rank_in_sets(
+        np.zeros(n, dtype=np.int64), np.array([0, n]), np.asarray(citations), scheme, x
+    )
     return [
         PercentileAssignment(paper_id=pid, rank=i, percentile=pct, tied_with=t, top_x_weight=w)
         for pid, i, pct, t, w in zip(
@@ -389,12 +391,11 @@ class BestPercentiles(NamedTuple):
 
     The per-paper arrays follow the dataset's row order; best_set indexes
     set_labels ("category:year", sorted by category then year). Per set,
-    set_sizes counts its papers and set_tie_groups its groups of two or
-    more papers with equal citations.
+    set_tie_groups counts its groups of two or more papers with equal
+    citations.
     """
 
     set_labels: tuple[str, ...]
-    set_sizes: np.ndarray
     set_tie_groups: np.ndarray
     best_set: np.ndarray
     rank: np.ndarray
@@ -414,16 +415,13 @@ def assign_best_percentiles(
     fractional weight. On equal percentiles the set that sorts first wins.
     """
     sets = dataset.set_membership
-    ranked = _rank_in_sets(
-        sets.set_ids, dataset.citations[sets.rows], len(sets.keys), scheme, x
-    )
+    ranked = _rank_in_sets(sets.set_ids, sets.bounds, dataset.citations[sets.rows], scheme, x)
     better_first = ranked.percentile if scheme.inverted else -ranked.percentile
     order = np.lexsort((sets.set_ids, better_first, sets.rows))
     paper = sets.rows[order]
     best = order[np.flatnonzero(np.r_[True, paper[1:] != paper[:-1]])]
     return BestPercentiles(
         set_labels=tuple(f"{k.category}:{k.pub_year}" for k in sets.keys),
-        set_sizes=ranked.set_sizes,
         set_tie_groups=ranked.set_tie_groups,
         best_set=sets.set_ids[best],
         rank=ranked.rank[best],

@@ -586,6 +586,38 @@ class TestErrorPaths:
         assert err.startswith("data error: line 3: new-line character seen in unquoted field")
         assert len(err.splitlines()) == 1
 
+    def test_p0_whose_null_se_underflows_is_data_error(self, tmp_path, capsys):
+        assert run("topshare", "--input", DEMO, "--p0", "5e-324", "--inverted",
+                   "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "data error: one_sample_prop_z: the null SE is zero or underflows to zero\n"
+        )
+
+    def test_welch_df_denominator_that_underflows_is_data_error(self, tmp_path, capsys):
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text(HEADER + "p1,A,2001,X,1,0\np2,A,2001,X,2,1e-100\n"
+                        "p3,B,2001,X,3,0\np4,B,2001,X,4,1e-100\n", encoding="utf-8")
+        assert run("compare", "--input", tiny, "--pairs", "A:B", "--welch",
+                   "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "data error: two_sample_welch_t: the df denominator is zero\n"
+        )
+
+    def test_pooled_se_that_underflows_is_data_error(self, tmp_path, capsys):
+        # each SD is about 5e-162, so each variance is subnormal and the
+        # pooled SE underflows to 0.0, while summary's own SEs do not
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text(HEADER + "".join(
+            f"p{i},{'AB'[i // 50]},2001,X,{i},{'0' if i % 2 else '1e-161'}\n"
+            for i in range(100)
+        ), encoding="utf-8")
+        assert run("compare", "--input", tiny, "--pairs", "A:B", "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "data error: two_sample_pooled_t: the SE or SD is zero or underflows to zero\n"
+        )
+        assert run("summary", "--input", tiny, "--out-dir", tmp_path) == 0
+        assert capsys.readouterr().err == ""
+
     def test_bytes_not_utf8_is_data_error(self, tmp_path, capsys):
         latin = tmp_path / "latin1.csv"
         latin.write_bytes(HEADER.encode() + b"p1,i,2001,A,5,\n" + b"p2,\xe9cole,2001,A,5,\n")
@@ -607,6 +639,9 @@ class TestErrorPaths:
         rejects = (out / "rejects.csv").read_text().splitlines()
         assert rejects[0] == "row,reason"
         assert len(rejects) == 2
+        assert capsys.readouterr().err.startswith(
+            f"warning: 1 row(s) rejected; see {out / 'rejects.csv'}\n"
+        )
 
     def test_last_year_filter(self, tmp_path, capsys):
         csv_path = tmp_path / "years.csv"
@@ -814,3 +849,16 @@ def test_fresh_process_matches_in_process(command, request, tmp_path, capsys):
                           env=env, capture_output=True)
     assert (proc.returncode, proc.stdout, proc.stderr, outputs()) == in_process
     assert in_process[0] == 0 and in_process[3]
+
+
+def test_out_dir_that_is_not_utf8_under_a_strict_stdout(tmp_path):
+    """The 'wrote ... to <path>' line prints the directory's own bytes."""
+    out = tmp_path / os.fsdecode(b"\xff")
+    env = dict(os.environ, PYTHONPATH=str(Path(pct_impact.__file__).parents[1]),
+               PYTHONIOENCODING="utf-8:strict")
+    proc = subprocess.run([sys.executable, "-m", "pct_impact.cli", "percentiles",
+                           "--input", str(DEMO), "--out-dir", str(out)],
+                          env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(b" to " + os.fsencode(out / "percentiles.csv") + b"\n")
+    assert sorted(p.name for p in out.iterdir()) == ["percentiles.csv"]

@@ -9,6 +9,8 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pct_impact.effects import (
     Magnitude,
@@ -25,7 +27,7 @@ from pct_impact.effects import (
     two_sample_prop_z,
     two_sample_welch_t,
 )
-from pct_impact.errors import DegenerateVarianceError
+from pct_impact.errors import DegenerateVarianceError, SampleSizeError
 
 INST1 = SummaryStats.from_moments(268, 49.67, 30.66)
 INST2 = SummaryStats.from_moments(549, 32.15, 27.49)
@@ -307,6 +309,45 @@ def test_two_sample_tests_check_ci_level(test, args, ci_level):
     message = f"{test.__name__}: ci_level must be in (0, 1), got {ci_level}"
     with pytest.raises(ValueError, match=re.escape(message)):
         test(*args, ci_level=ci_level)
+
+
+# SDs from 0 down into the range where sd**2, or a variance's square,
+# underflows to 0.0
+SAMPLES = st.builds(
+    SummaryStats, n=st.integers(2, 60), mean=st.floats(0.0, 100.0),
+    sd=st.just(0.0) | st.floats(-170.0, 1.0).map(lambda e: 10.0**e),
+)
+# log-uniform in [5e-324, 1]; 2**-1074 is the least positive double
+DOWN_TO_5E_324 = st.floats(-1074.0, 0.0).map(lambda e: 2.0**e)
+
+
+def finite_or_degenerate(test, *args):
+    """test(*args) returns finite fields, or refuses a degenerate or too
+    small sample; any other exception, ZeroDivisionError included, fails."""
+    try:
+        result = test(*args)
+    except (DegenerateVarianceError, SampleSizeError):
+        return
+    assert all(math.isfinite(v) for v in result if isinstance(v, float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=SAMPLES, b=SAMPLES, mu0=st.floats(0.0, 100.0))
+def test_t_tests_on_tiny_or_zero_sds(a, b, mu0):
+    finite_or_degenerate(one_sample_t, a, mu0)
+    finite_or_degenerate(two_sample_pooled_t, a, b)
+    finite_or_degenerate(two_sample_welch_t, a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n1=st.integers(1, 1000), n2=st.integers(1, 1000),
+    share1=st.just(0.0) | DOWN_TO_5E_324, share2=st.just(0.0) | DOWN_TO_5E_324,
+    p0=DOWN_TO_5E_324.filter(lambda p: p < 1.0),
+)
+def test_z_tests_on_tiny_proportions(n1, n2, share1, share2, p0):
+    finite_or_degenerate(one_sample_prop_z, share1 * n1, n1, p0)
+    finite_or_degenerate(two_sample_prop_z, share1 * n1, n1, share2 * n2, n2)
 
 
 class TestMagnitude:
