@@ -3,11 +3,11 @@
 One parser takes a command word (percentiles, summary, compare, topshare,
 topcompare, robustness, bootstrap), --config FILE and one flag per
 AnalysisConfig field, in any order. Every value is read by one rule per
-field, whether a flag or the flat key=value config file gave it, and
-checked by AnalysisConfig.validate. Precedence is flags, then the config
-file, then defaults; the PCT_IMPACT_SEED environment variable replaces
-only the built-in seed default. Exit codes: 0 success, 1 data error, 2
-configuration error.
+field, whether a flag, the flat key=value config file or, for the seed,
+the PCT_IMPACT_SEED environment variable gave it, and checked by
+AnalysisConfig.validate. Precedence is flags, then the config file, then
+defaults; PCT_IMPACT_SEED replaces only the built-in seed default. Exit
+codes: 0 success, 1 data error, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import re
 import sys
 import warnings
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -73,23 +73,10 @@ class AnalysisConfig(NamedTuple):
     workers: int = 1
 
     def validate(self) -> None:
-        if not 0.0 <= self.mu0 <= 100.0:
-            raise ConfigurationError(f"mu0 must be in [0, 100], got {self.mu0}")
-        if not 0.0 < self.top_x < 100.0:
-            raise ConfigurationError(f"top_x must be in (0, 100), got {self.top_x}")
-        if not 0.0 < self.p0 < 1.0:
-            raise ConfigurationError(f"p0 must be in (0, 1), got {self.p0}")
-        # as effects checks it: a level whose upper quantile rounds to 1 counts as 1
-        if not (0.0 < self.ci_level and 0.5 + self.ci_level / 2.0 < 1.0):
-            raise ConfigurationError(f"ci_level must be in (0, 1), got {self.ci_level}")
-        for key, allowed in _CHOICES.items():
+        for key, ok, words in _CHECKS:
             for value in self.formats if key == "format" else [getattr(self, key)]:
-                if value not in allowed:
-                    words = ", ".join(allowed[:-1]) + " or " + allowed[-1]
+                if not ok(value):
                     raise ConfigurationError(f"{key} must be {words}, got {value}")
-        for key, least in (("bootstrap_reps", 1), ("seed", 0), ("workers", 1)):
-            if getattr(self, key) < least:
-                raise ConfigurationError(f"{key} must be >= {least}, got {getattr(self, key)}")
 
     @property
     def formats(self) -> list[str]:
@@ -132,9 +119,11 @@ class AnalysisConfig(NamedTuple):
 _PAIR_SIDE = re.compile(r'\s*(?:"((?:[^"]|"")*)"|([^,:"][^,:]*|))\s*([,:]|\Z)')
 
 
-_BOOL_KEYS = {"inverted", "zero_adjust", "welch", "mann_whitney"}
-_INT_KEYS = {"bootstrap_reps", "seed", "last_year", "workers"}
-_FLOAT_KEYS = {"mu0", "top_x", "p0", "ci_level"}
+# the type each option's value is read as: bool, int, float or str
+_KINDS = {
+    key: next(kind for kind in (bool, int, float, str) if kind in (hint, *get_args(hint)))
+    for key, hint in get_type_hints(AnalysisConfig).items()
+}
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 # the allowed values of each option that names one of a few; format is a
@@ -146,6 +135,19 @@ _CHOICES = {
     "statistic": ("mean", "mean-diff", "proportion", "prop-diff"),
     "format": ("tsv", "json", "svg"),
 }
+# each key validate checks, in order: its test and the words of its message
+_CHECKS = (
+    ("mu0", lambda v: 0.0 <= v <= 100.0, "in [0, 100]"),
+    ("top_x", lambda v: 0.0 < v < 100.0, "in (0, 100)"),
+    ("p0", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    # as effects checks it: a level whose upper quantile rounds to 1 counts as 1
+    ("ci_level", lambda v: 0.0 < v and 0.5 + v / 2.0 < 1.0, "in (0, 1)"),
+    *((key, allowed.__contains__, ", ".join(allowed[:-1]) + " or " + allowed[-1])
+      for key, allowed in _CHOICES.items()),
+    ("bootstrap_reps", lambda v: v >= 1, ">= 1"),
+    ("seed", lambda v: v >= 0, ">= 0"),
+    ("workers", lambda v: v >= 1, ">= 1"),
+)
 _HELP = {
     "inverted": "rank by descending citations; 100 means worst",
     "zero_adjust": "pin uncited papers to the worst percentile",
@@ -157,21 +159,17 @@ _HELP = {
 
 
 def _read_value(key: str, raw: str) -> object:
-    """The value of config key from its text, whether a flag or the config
-    file gave it, trimmed of surrounding space."""
+    """The value of config key from its text, whether a flag, the config
+    file or PCT_IMPACT_SEED gave it, trimmed of surrounding space."""
     raw = raw.strip()
     if "\0" in raw:  # only a config file can hold one; no path can
         raise ConfigurationError(f"{key} must not hold a NUL byte, got {raw!r}")
+    kind = _KINDS[key]
     try:
-        if key in _BOOL_KEYS:
-            return _BOOLEANS[raw.lower()]
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw) if key in _FLOAT_KEYS else raw
+        return _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
     except (KeyError, ValueError):
-        kind = ("a boolean" if key in _BOOL_KEYS else
-                "an integer" if key in _INT_KEYS else "a number")
-        raise ConfigurationError(f"{key} must be {kind}, got {raw!r}") from None
+        words = {bool: "a boolean", int: "an integer", float: "a number"}[kind]
+        raise ConfigurationError(f"{key} must be {words}, got {raw!r}") from None
 
 
 def read_config_file(path: str) -> dict:
@@ -198,12 +196,8 @@ def read_config_file(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> AnalysisConfig:
     """Layer CLI > config file > environment seed > defaults."""
     values = {}
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            values["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigurationError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
+    if SEED_ENV_VAR in os.environ:
+        values["seed"] = _read_value("seed", os.environ[SEED_ENV_VAR])
     if args.config:
         values.update(read_config_file(args.config))
     for key in AnalysisConfig._fields:
@@ -228,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key=value config file; every flag is a key")
     for key in AnalysisConfig._fields:
         flag = "--" + key.replace("_", "-")
-        if key in _BOOL_KEYS:
+        if _KINDS[key] is bool:
             parser.add_argument(flag, action="store_const", const="true", help=_HELP.get(key))
         else:
             allowed = _CHOICES.get(key)

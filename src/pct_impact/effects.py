@@ -25,7 +25,6 @@ __all__ = [
     "OverlapVerdict",
     "summarize",
     "one_sample_t",
-    "cohens_d_one",
     "pooled_sd",
     "two_sample_pooled_t",
     "two_sample_welch_t",
@@ -184,16 +183,6 @@ def _proportion_test(
         effect_h=h,
         magnitude=classify_magnitude(h),
     )
-
-
-def cohens_d_one(stats: SummaryStats, mu0: float) -> float:
-    """One-sample Cohen's d: (mean - mu0) / sd.
-
-    Algebraically identical to t / sqrt(n) for the one-sample t test.
-    """
-    if stats.sd is None or stats.sd <= 0:
-        raise DegenerateVarianceError("cohens_d_one: sample SD is zero or undefined")
-    return (stats.mean - mu0) / stats.sd
 
 
 def one_sample_t(stats: SummaryStats, mu0: float, ci_level: float = 0.95) -> MeanTestResult:

@@ -100,25 +100,20 @@ def _normalize_data(
     arrays: dict,
 ) -> tuple[tuple, np.ndarray, Optional[np.ndarray]]:
     """key's labels, (a,) or (a, b), and their float arrays, b None for one
-    sample; arrays holds each label's array, converted once."""
+    sample; arrays holds each label's array, converted and checked once."""
     two_sample = statistic in _TWO_SAMPLE
     if two_sample and not (isinstance(key, tuple) and len(key) == 2):
         raise ValueError(f"{statistic.value} needs a (sample_a, sample_b) tuple")
     labels = key if two_sample else (key,)
     for label in labels:
         if label not in arrays:
-            arrays[label] = np.asarray(samples[label], dtype=float)
-    a = arrays[labels[0]]
-    if two_sample:
-        b = arrays[labels[1]]
-        if a.size < 2 or b.size < 2:
-            raise SampleSizeError("both samples need at least 2 observations")
-        return labels, a, b
-    if a.ndim != 1:
-        raise ValueError(f"{statistic.value} needs a single flat sample")
-    if a.size < 2:
-        raise SampleSizeError("sample needs at least 2 observations")
-    return labels, a, None
+            values = np.asarray(samples[label], dtype=float)
+            if values.ndim != 1:
+                raise ValueError(f"{statistic.value} needs flat (1-D) samples")
+            if values.size < 2:
+                raise SampleSizeError("sample needs at least 2 observations")
+            arrays[label] = values
+    return labels, arrays[labels[0]], arrays[labels[1]] if two_sample else None
 
 
 # Draws per block of replicates: the stream, index and value arrays of one

@@ -438,6 +438,12 @@ class TestBootstrapCommand:
             "--out-dir", tmp_path, "--format", "json")
         assert json.loads((tmp_path / "bootstrap.json").read_text())["seed"] == 3
 
+    def test_mean_without_institution_is_config_error(self, inst_csv, tmp_path, capsys):
+        assert run("bootstrap", "--input", inst_csv, "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: mean bootstrap needs --institution\n"
+        )
+
     @pytest.mark.parametrize("statistic", ["mean-diff", "prop-diff"])
     def test_pairs_share_streams_without_coupling(self, inst_csv, tmp_path, statistic):
         # every pair reads the same replicate streams; each entry must still
@@ -705,6 +711,28 @@ class TestErrorPaths:
             f"configuration error: {key} must not hold a NUL byte, got 'a\\x00b'\n"
         )
 
+    def test_config_comments_and_blank_lines_are_skipped(self, inst_csv, tmp_path, capsys):
+        seen = []
+        for k, text in enumerate(["mu0 = 40\nformat = tsv\n",
+                                  "# mu0 = 60\n\nmu0 = 40\n  # a comment\n\nformat = tsv\n"]):
+            config, out = tmp_path / f"{k}.cfg", tmp_path / f"out{k}"
+            config.write_text(text, encoding="utf-8")
+            code = run("summary", "--input", inst_csv, "--config", config, "--out-dir", out)
+            seen.append((code, capsys.readouterr(), (out / "summary.tsv").read_bytes()))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == 0 and b"test of mean = 40)" in seen[0][2]
+
+    @pytest.mark.parametrize("line, message", [
+        ("scheme incites", "expected key=value, got 'scheme incites'"),
+        ("bogus = 1", "unknown config key 'bogus'"),
+    ])
+    def test_bad_config_line_exits_2(self, inst_csv, tmp_path, capsys, line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        assert run("summary", "--input", inst_csv, "--config", config,
+                   "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"configuration error: {config}:1: {message}\n"
+
 
 class TestOptionValues:
     """A value is read and checked by one rule, whether a flag or the config
@@ -755,6 +783,12 @@ class TestOptionValues:
         monkeypatch.setenv("PCT_IMPACT_SEED", "-5")
         assert self.run_with(inst_csv, command, "statistic", "mean", "flag") == 2
         assert capsys.readouterr().err == "configuration error: seed must be >= 0, got -5\n"
+
+    def test_non_integer_seed_from_the_environment_exits_2(self, inst_csv, capsys, monkeypatch):
+        monkeypatch.setenv("PCT_IMPACT_SEED", "abc")
+        assert self.run_with(inst_csv, "summary", "statistic", "mean", "flag") == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: seed must be an integer, got 'abc'\n"
 
     @pytest.mark.parametrize("spelling", ["flag", "config"])
     @pytest.mark.parametrize("command", sorted(_COMMANDS))

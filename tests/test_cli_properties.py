@@ -104,7 +104,7 @@ def _config(argv):
     lines, options = [], iter(argv[1:])
     for flag in options:
         key = flag[2:].replace("-", "_")
-        lines.append(f"{key} = {'yes' if key in cli._BOOL_KEYS else next(options)}\n")
+        lines.append(f"{key} = {'yes' if cli._KINDS[key] is bool else next(options)}\n")
     return "".join(lines)
 
 

@@ -17,7 +17,6 @@ from pct_impact.effects import (
     SummaryStats,
     ci_overlap_verdict,
     classify_magnitude,
-    cohens_d_one,
     cohens_h_one,
     one_sample_prop_z,
     one_sample_t,
@@ -120,12 +119,12 @@ class TestOneSampleT:
         assert r.effect_d == pytest.approx(r.statistic_t / math.sqrt(INST2.n), rel=1e-10)
 
 
-class TestCohensDOne:
+class TestOneSampleD:
     def test_worked_value(self):
-        assert cohens_d_one(INST2, 50.0) == pytest.approx(-0.649, abs=0.0005)
+        assert one_sample_t(INST2, 50.0).effect_d == pytest.approx(-0.649, abs=0.0005)
 
     def test_zero_when_mean_is_mu0(self):
-        assert cohens_d_one(SummaryStats.from_moments(5, 42.0, 3.0), 42.0) == 0.0
+        assert one_sample_t(SummaryStats.from_moments(5, 42.0, 3.0), 42.0).effect_d == 0.0
 
 
 class TestPooledSd:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pct_impact.effects import summarize, two_sample_pooled_t
-from pct_impact.errors import DegenerateVarianceError
+from pct_impact.errors import DegenerateVarianceError, SampleSizeError
 from pct_impact.kernels import normal_cdf, t_quantile
 from pct_impact.resampling import (
     BootstrapResult,
@@ -352,6 +352,17 @@ class TestBootstrapAccuracy:
     def test_minimum_sample_size(self):
         with pytest.raises(ValueError):
             bootstrap_statistic([1.0], BootstrapStatistic.MEAN, BootstrapSpec(10, 0))
+
+    def test_two_sample_rejects_a_sample_that_is_not_flat(self):
+        samples = {"A": [[1.0, 2.0], [3.0, 4.0]], "B": [1.0, 2.0, 3.0]}
+        with pytest.raises(ValueError, match=r"^mean_diff needs flat \(1-D\) samples$"):
+            bootstrap_samples(samples, [("A", "B")], BootstrapStatistic.MEAN_DIFF,
+                              BootstrapSpec(50, 1))
+
+    def test_two_sample_minimum_sample_size(self):
+        with pytest.raises(SampleSizeError, match="^sample needs at least 2 observations$"):
+            bootstrap_statistic(([1.0, 2.0], [3.0]), BootstrapStatistic.MEAN_DIFF,
+                                BootstrapSpec(10, 0))
 
     def test_json_contract(self):
         r = bootstrap_statistic(
