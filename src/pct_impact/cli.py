@@ -173,10 +173,10 @@ def _read_value(key: str, raw: str) -> object:
 
 
 def read_config_file(path: str) -> dict:
-    """Flat key=value config; '#' starts a comment, blank lines ignored."""
+    """Flat UTF-8 key=value config, BOM or not; '#' starts a comment, blank lines ignored."""
     values: dict = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
     for i, line in enumerate(text.splitlines(), 1):

@@ -66,7 +66,6 @@ class PercentileScheme(NamedTuple):
 
 
 class PercentileAssignment(NamedTuple):
-    paper_id: str
     rank: int
     percentile: float
     tied_with: int  # size of the tie group, including the paper itself
@@ -143,7 +142,6 @@ def percentile_rank(
     citations: Sequence[int],
     scheme: PercentileScheme,
     x: float = 10.0,
-    ids: Optional[Sequence[str]] = None,
 ) -> list[PercentileAssignment]:
     """Assign a percentile to every paper of one reference set.
 
@@ -156,17 +154,13 @@ def percentile_rank(
     n = len(citations)
     if n == 0:
         raise ValueError("percentile_rank: empty citation list")
-    if ids is None:
-        ids = [str(i) for i in range(n)]
-    elif len(ids) != n:
-        raise ValueError("percentile_rank: ids and citations lengths differ")
     ranked = _rank_in_sets(
         np.zeros(n, dtype=np.int64), np.array([0, n]), np.asarray(citations), scheme, x
     )
     return [
-        PercentileAssignment(paper_id=pid, rank=i, percentile=pct, tied_with=t, top_x_weight=w)
-        for pid, i, pct, t, w in zip(
-            ids, ranked.rank.tolist(), ranked.percentile.tolist(),
+        PercentileAssignment(rank=i, percentile=pct, tied_with=t, top_x_weight=w)
+        for i, pct, t, w in zip(
+            ranked.rank.tolist(), ranked.percentile.tolist(),
             ranked.tied_with.tolist(), ranked.top_x_weight.tolist(),
         )
     ]

@@ -139,10 +139,7 @@ def _uint32_streams(children: Sequence[np.random.SeedSequence], words: int) -> n
     calls). Held as uint64 so that a draw times a range below 2**32 cannot
     overflow."""
     raw = np.stack([np.random.PCG64(child).random_raw(words) for child in children])
-    out = np.empty((len(children), 2 * words), dtype=np.uint64)
-    out[:, 0::2] = raw & np.uint64(0xFFFFFFFF)
-    out[:, 1::2] = raw >> np.uint64(32)
-    return out
+    return raw.astype("<u8", copy=False).view("<u4").astype(np.uint64)
 
 
 def _bounded_draws(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,17 +184,17 @@ def _replicate_statistics(
     samples: Sequence[tuple[tuple, np.ndarray, Optional[np.ndarray]]], spec: BootstrapSpec
 ) -> np.ndarray:
     """Replicate statistics, one row per sample: replicate i of every sample
-    reads the i-th spawned child of the master seed. Each block of
-    replicates builds its streams once, wide enough for the widest sample;
+    reads the i-th child of the master seed, spawned with its block. Each
+    block builds its streams once, wide enough for the widest sample;
     samples that hold one label at the same draw offset, such as the pairs
     1:k, share its indices and means."""
-    children = np.random.SeedSequence(spec.seed).spawn(spec.replicates)
+    master = np.random.SeedSequence(spec.seed)
     width = max(a.size + (0 if b is None else b.size) for _, a, b in samples)
     words = (width + 1) // 2
     rows = max(1, _BLOCK_DRAWS // (2 * words))
     out = np.empty((len(samples), spec.replicates))
     for lo in range(0, spec.replicates, rows):
-        block = children[lo : lo + rows]
+        block = master.spawn(min(rows, spec.replicates - lo))
         draws = _uint32_streams(block, words)
         parts: dict = {}
         for k, (labels, a, b) in enumerate(samples):
@@ -212,7 +209,9 @@ def _summarize(
     b: Optional[np.ndarray],
     stats: np.ndarray,
 ) -> BootstrapResult:
-    point = float(a.mean() if b is None else a.mean() - b.mean())
+    point = math.fsum(a.tolist()) / a.size  # the mean rule of effects.summarize
+    if b is not None:
+        point -= math.fsum(b.tolist()) / b.size
     se_boot = float(stats.std(ddof=1)) if spec.replicates > 1 else 0.0
     if se_boot == 0.0:
         warnings.warn(
@@ -273,12 +272,12 @@ def bootstrap_statistic(
     """Resample observations with replacement and summarize the statistic.
 
     Two-sample statistics resample each group independently at its own
-    size. The point estimate always comes from the original data; se_boot
-    is the standard deviation of the replicate statistics. A degenerate
-    (constant) sample collapses the interval to the point with a warning
-    rather than an error. `workers` is accepted for compatibility and
-    changes nothing: the replicates run as vectorised blocks in the
-    calling thread.
+    size. The point estimate is the original data's fsum mean, as in the
+    tables; se_boot is the standard deviation of the replicate statistics.
+    A degenerate (constant) sample collapses the interval to the point
+    with a warning rather than an error. `workers` is accepted for
+    compatibility and changes nothing: the replicates run as vectorised
+    blocks in the calling thread.
     """
     if statistic in _TWO_SAMPLE and isinstance(data, tuple) and len(data) == 2:
         return bootstrap_samples(dict(enumerate(data)), [(0, 1)], statistic, spec)[0]

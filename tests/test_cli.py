@@ -469,6 +469,40 @@ class TestBootstrapCommand:
         payload = json.loads((tmp_path / "bootstrap.json").read_text())
         assert payload["statistic"] == "mean_diff"
 
+    def test_points_are_the_tables_means(self, tmp_path, monkeypatch, capsys):
+        # the benchmark's fields input, where numpy's pairwise mean and the
+        # tables' fsum mean differ in the last bits for many institutions
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing cached in perfbench/
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        import workloads
+
+        csv_path = tmp_path / "fields.csv"
+        csv_path.write_bytes(workloads.build_fields(1, 2000))
+        flags = ["--input", csv_path, "--scheme", "incites", "--inverted", "--zero-adjust",
+                 "--format", "json", "--out-dir", tmp_path]
+        labels = [str(k) for k in range(1, workloads.INSTITUTIONS + 1)]
+        pairs = ",".join(f"1:{k}" for k in labels[1:])
+
+        def written(command, *extra):
+            assert run(command, *flags, *extra) == 0
+            return json.loads((tmp_path / f"{command}.json").read_text())
+
+        def first_row(command, label, *extra):
+            payload = written(command, *extra)
+            assert payload["rows"][0]["label"] == label
+            return dict(zip(payload["columns"], payload["rows"][0]["values"], strict=True))
+
+        means = first_row("summary", "Mean")
+        assert sorted(means) == sorted(labels)
+        for label in labels:
+            boot = written("bootstrap", "--statistic", "mean", "--institution", label,
+                           "--bootstrap-reps", "10")
+            assert boot["point"] == means[label], label
+        diffs = first_row("compare", "Difference between means", "--pairs", pairs)
+        boots = written("bootstrap", "--statistic", "mean-diff", "--pairs", pairs,
+                        "--bootstrap-reps", "10")
+        assert [b["point"] for b in boots] == list(diffs.values())
+
     @pytest.mark.parametrize("counting", ["binary", "fractional"])
     def test_proportion_point_matches_topshare(self, tie_csv, tmp_path, counting):
         flags = ["--input", tie_csv, "--counting", counting, "--scheme", "incites",
@@ -714,12 +748,13 @@ class TestErrorPaths:
     def test_config_comments_and_blank_lines_are_skipped(self, inst_csv, tmp_path, capsys):
         seen = []
         for k, text in enumerate(["mu0 = 40\nformat = tsv\n",
-                                  "# mu0 = 60\n\nmu0 = 40\n  # a comment\n\nformat = tsv\n"]):
+                                  "# mu0 = 60\n\nmu0 = 40\n  # a comment\n\nformat = tsv\n",
+                                  "\ufeffmu0 = 40\nformat = tsv\n"]):  # a byte-order mark
             config, out = tmp_path / f"{k}.cfg", tmp_path / f"out{k}"
             config.write_text(text, encoding="utf-8")
             code = run("summary", "--input", inst_csv, "--config", config, "--out-dir", out)
             seen.append((code, capsys.readouterr(), (out / "summary.tsv").read_bytes()))
-        assert seen[0] == seen[1]
+        assert seen[0] == seen[1] == seen[2]
         assert seen[0][0] == 0 and b"test of mean = 40)" in seen[0][2]
 
     @pytest.mark.parametrize("line, message", [

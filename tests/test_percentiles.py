@@ -137,13 +137,6 @@ class TestPercentileRank:
                             want = oracle_percentiles(cits, formula, inverted, zero_adjust)
                             assert got == want, (cits, scheme)
 
-    def test_ids_flow_through(self):
-        scheme = PercentileScheme(PercentileFormula.COMMON)
-        out = percentile_rank([4, 2], scheme, ids=["a", "b"])
-        assert [a.paper_id for a in out] == ["a", "b"]
-        with pytest.raises(ValueError):
-            percentile_rank([4, 2], scheme, ids=["only-one"])
-
 
 class TestClassifyTopX:
     def test_boundary_inclusive(self):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pct_impact import resampling
 from pct_impact.effects import summarize, two_sample_pooled_t
 from pct_impact.errors import DegenerateVarianceError, SampleSizeError
 from pct_impact.kernels import normal_cdf, t_quantile
@@ -129,7 +131,7 @@ def reference_bootstrap(data, statistic, spec):
         else:
             rb = b[rng.integers(0, b.size, b.size)]
             stats[i] = ra.mean() - rb.mean()
-    point = float(a.mean()) if b is None else float(a.mean() - b.mean())
+    point = math.fsum(a.tolist()) / a.size - (0.0 if b is None else math.fsum(b.tolist()) / b.size)
     se = float(stats.std(ddof=1)) if spec.replicates > 1 else 0.0
     if se == 0.0:
         low = high = point
@@ -268,6 +270,22 @@ class TestBlockKernelEquivalence:
         batch = bootstrap_samples(samples, singles, BootstrapStatistic.MEAN, spec)
         for label, result in zip(singles, batch, strict=True):
             assert result == reference_bootstrap(samples[label], BootstrapStatistic.MEAN, spec)
+
+    def test_memory_is_bounded_by_the_block(self, monkeypatch):
+        # each block spawns its own children: beyond one block of 16
+        # replicates, the only memory that grows with the replicate count is
+        # the 8-byte statistic per replicate (and one temporary of its std)
+        monkeypatch.setattr(resampling, "_BLOCK_DRAWS", 64)
+        spec = BootstrapSpec(replicates=2000, seed=3)
+        # a first call, so that numpy's one-time set-up is not counted
+        bootstrap_samples({0: [1.0, 2.0, 4.0]}, [0], BootstrapStatistic.MEAN, spec)
+        tracemalloc.start()
+        try:
+            bootstrap_samples({0: [1.0, 2.0, 4.0]}, [0], BootstrapStatistic.MEAN, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * spec.replicates + 32 * 1024
 
     def test_empty_batch(self):
         assert bootstrap_samples({}, [], BootstrapStatistic.MEAN, BootstrapSpec(10, 0)) == []
