@@ -497,11 +497,7 @@ def cmd_bootstrap(cfg: AnalysisConfig) -> int:
     """bootstrap a statistic"""
     dataset = _load_dataset(cfg)
     statistic = BootstrapStatistic(cfg.statistic.replace("-", "_"))
-    spec = BootstrapSpec(
-        replicates=cfg.bootstrap_reps,
-        seed=cfg.seed,
-        ci_method=CiMethod(cfg.ci),
-    )
+    spec = BootstrapSpec(replicates=cfg.bootstrap_reps, seed=cfg.seed, ci_method=CiMethod(cfg.ci))
     if statistic in (BootstrapStatistic.MEAN, BootstrapStatistic.PROPORTION):
         if not cfg.institution:
             raise ConfigurationError(f"{cfg.statistic} bootstrap needs --institution")
@@ -514,7 +510,8 @@ def cmd_bootstrap(cfg: AnalysisConfig) -> int:
         per_paper = _top_weights(cfg, dataset)
     else:
         per_paper, _ = _analysis_percentiles(cfg, dataset)
-    values = _institution_values(dataset, per_paper)
+    # each sample sorted, so that the draws do not depend on the input's row order
+    values = {k: sorted(v) for k, v in _institution_values(dataset, per_paper).items()}
 
     # significance is reported as interval exclusion of the natural null
     null_value = {

@@ -97,7 +97,7 @@ def summarize(values: Sequence[float]) -> SummaryStats:
     mean = math.fsum(values) / n
     if n == 1:
         return SummaryStats(n=1, mean=mean, sd=None)
-    ss = math.fsum((v - mean) ** 2 for v in values)
+    ss = math.fsum((v - mean) * (v - mean) for v in values)
     sd = math.sqrt(ss / (n - 1))
     return SummaryStats(n=n, mean=mean, sd=sd)
 
@@ -208,7 +208,7 @@ def pooled_sd(a: SummaryStats, b: SummaryStats) -> float:
         raise SampleSizeError("pooled_sd: need n1 + n2 >= 3")
     if a.sd == 0 and b.sd == 0:
         raise DegenerateVarianceError("pooled_sd: both sample SDs are zero")
-    num = (a.n - 1) * a.sd**2 + (b.n - 1) * b.sd**2
+    num = (a.n - 1) * (a.sd * a.sd) + (b.n - 1) * (b.sd * b.sd)
     return math.sqrt(num / (a.n + b.n - 2))
 
 
@@ -221,7 +221,7 @@ def two_sample_pooled_t(
     Cohen's d is the difference divided by the pooled SD.
     """
     sp = pooled_sd(a, b)
-    se = math.sqrt(sp**2 * (a.n + b.n) / (a.n * b.n))
+    se = math.sqrt(sp * sp * (a.n + b.n) / (a.n * b.n))
     return _mean_test(
         "two_sample_pooled_t", ci_level, a.mean - b.mean, 0.0, se, a.n + b.n - 2, sp, sp
     )
@@ -238,14 +238,14 @@ def two_sample_welch_t(
     """
     if a.n < 2 or b.n < 2 or a.sd is None or b.sd is None:
         raise SampleSizeError("two_sample_welch_t: both groups need n >= 2")
-    va, vb = a.sd**2 / a.n, b.sd**2 / b.n
-    df_denominator = va**2 / (a.n - 1) + vb**2 / (b.n - 1)
+    va, vb = a.sd * a.sd / a.n, b.sd * b.sd / b.n
+    df_denominator = va * va / (a.n - 1) + vb * vb / (b.n - 1)
     if df_denominator == 0:
         raise DegenerateVarianceError("two_sample_welch_t: the df denominator is zero")
     sp = pooled_sd(a, b)
     return _mean_test(
         "two_sample_welch_t", ci_level, a.mean - b.mean, 0.0, math.sqrt(va + vb),
-        (va + vb) ** 2 / df_denominator, sp, sp,
+        (va + vb) * (va + vb) / df_denominator, sp, sp,
     )
 
 

@@ -1,18 +1,17 @@
-"""End-to-end command line behavior: outputs, precedence, exit codes."""
+"""End-to-end command line behavior, in process: outputs, precedence and
+warnings. The exit code and stderr of each refused run are cases of the
+table in test_console.py."""
 
 import csv
 import json
-import os
 import random
 import re
 import shutil
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import pct_impact
 from pct_impact.cli import _COMMANDS, AnalysisConfig, main
 
 HEADER = "id,institution,pub_year,category,citations,inv_percentile\n"
@@ -140,17 +139,6 @@ class TestCompareCommand:
         assert header.split("\t")[1:] == ["A vs B", "A vs C", "C vs B"]
         assert "Welch t" in tsv and "Mann-Whitney z" in tsv
 
-    def test_missing_pairs_is_config_error(self, inst_csv, tmp_path, capsys):
-        assert run("compare", "--input", inst_csv, "--out-dir", tmp_path) == 2
-        assert "pairs" in capsys.readouterr().err
-
-    def test_unknown_institution_is_data_error(self, inst_csv, tmp_path, capsys):
-        code = run("compare", "--input", inst_csv, "--pairs", "A:NOPE",
-                   "--out-dir", tmp_path)
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "NOPE" in err and "A" in err
-
 
 class TestQuotedPairs:
     """A side of --pairs in double quotes may name a label holding , or :."""
@@ -216,11 +204,6 @@ class TestTopShareCommands:
         expected_x = (2 + 3 * 2 / 7) / 25
         assert rows["Share in top 10% (x100)"]["X"] == pytest.approx(100 * expected_x)
 
-    def test_binary_without_inverted_is_config_error(self, tie_csv, tmp_path, capsys):
-        code = run("topshare", "--input", tie_csv, "--out-dir", tmp_path)
-        assert code == 2
-        assert "inverted" in capsys.readouterr().err
-
     def test_binary_equals_fractional_on_untied_data(self, tmp_path):
         from pct_impact.percentiles import (
             PercentileFormula,
@@ -255,13 +238,6 @@ class TestTopShareCommands:
         assert code == 0
         table = json.loads((tmp_path / "topcompare.json").read_text())
         assert table["columns"] == ["A vs B"]
-
-    def test_unknown_institution_before_inverted_check(self, tie_csv, tmp_path, capsys):
-        # binary counting on a file without inv_percentile and no --inverted
-        code = run("topcompare", "--input", tie_csv, "--pairs", "X:NOPE",
-                   "--out-dir", tmp_path)
-        assert code == 1
-        assert capsys.readouterr().err.startswith("data error: unknown institution 'NOPE'")
 
 
 class TestPercentilesCommand:
@@ -438,12 +414,6 @@ class TestBootstrapCommand:
             "--out-dir", tmp_path, "--format", "json")
         assert json.loads((tmp_path / "bootstrap.json").read_text())["seed"] == 3
 
-    def test_mean_without_institution_is_config_error(self, inst_csv, tmp_path, capsys):
-        assert run("bootstrap", "--input", inst_csv, "--out-dir", tmp_path) == 2
-        assert capsys.readouterr().err == (
-            "configuration error: mean bootstrap needs --institution\n"
-        )
-
     @pytest.mark.parametrize("statistic", ["mean-diff", "prop-diff"])
     def test_pairs_share_streams_without_coupling(self, inst_csv, tmp_path, statistic):
         # every pair reads the same replicate streams; each entry must still
@@ -524,15 +494,10 @@ class TestBootstrapCommand:
         payload = json.loads((tmp_path / "bootstrap.json").read_text())
         assert payload["statistic"] == "prop_diff"
 
-    def test_unknown_institution_before_inverted_check(self, tie_csv, tmp_path, capsys):
-        code = run("bootstrap", "--input", tie_csv, "--statistic", "proportion",
-                   "--institution", "NOPE", "--out-dir", tmp_path)
-        assert code == 1
-        assert capsys.readouterr().err.startswith("data error: unknown institution 'NOPE'")
-
 
 class TestSmallInstitution:
-    """B has a single paper: too small for any test, which is a data error."""
+    """B has a single paper: too small for any test. The commands that test
+    it exit 1 (cases of test_console.py); these leave it out with a warning."""
 
     @pytest.fixture
     def small_csv(self, tmp_path):
@@ -543,18 +508,6 @@ class TestSmallInstitution:
             encoding="utf-8",
         )
         return path
-
-    def test_compare_exits_1(self, small_csv, tmp_path, capsys):
-        code = run("compare", "--input", small_csv, "--pairs", "A:B",
-                   "--out-dir", tmp_path)
-        assert code == 1
-        assert capsys.readouterr().err.startswith("data error: pooled_sd")
-
-    def test_bootstrap_exits_1(self, small_csv, tmp_path, capsys):
-        code = run("bootstrap", "--input", small_csv, "--statistic", "mean",
-                   "--institution", "B", "--out-dir", tmp_path)
-        assert code == 1
-        assert capsys.readouterr().err.startswith("data error: sample needs at least 2")
 
     def test_robustness_skips_with_a_warning(self, small_csv, tmp_path, capsys):
         code = run("robustness", "--input", small_csv, "--out-dir", tmp_path,
@@ -574,98 +527,6 @@ class TestSmallInstitution:
 
 
 class TestErrorPaths:
-    def test_missing_input_flag(self, tmp_path, capsys):
-        assert run("summary", "--out-dir", tmp_path) == 2
-
-    def test_missing_input_file(self, tmp_path):
-        assert run("summary", "--input", tmp_path / "nope.csv",
-                   "--out-dir", tmp_path) == 2
-
-    def test_missing_column_file(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("id,institution\n1,a\n", encoding="utf-8")
-        assert run("summary", "--input", bad, "--out-dir", tmp_path) == 2
-
-    def test_missing_config_file(self, tmp_path, capsys):
-        assert run("summary", "--config", tmp_path / "nope.cfg",
-                   "--out-dir", tmp_path) == 2
-        assert capsys.readouterr().err.startswith("configuration error:")
-
-    def test_input_is_directory(self, tmp_path, capsys):
-        assert run("summary", "--input", tmp_path, "--out-dir", tmp_path / "out") == 2
-        assert capsys.readouterr().err.startswith("configuration error:")
-
-    def test_out_dir_is_file(self, inst_csv, tmp_path, capsys):
-        taken = tmp_path / "taken"
-        taken.write_text("", encoding="utf-8")
-        assert run("summary", "--input", inst_csv, "--out-dir", taken,
-                   "--format", "tsv") == 2
-        assert capsys.readouterr().err.startswith("configuration error:")
-
-    def test_bad_top_x(self, inst_csv, tmp_path):
-        assert run("topshare", "--input", inst_csv, "--top-x", "0",
-                   "--out-dir", tmp_path) == 2
-
-    def test_field_over_csv_limit_is_data_error(self, tmp_path, capsys):
-        long = tmp_path / "long.csv"
-        long.write_text(
-            HEADER + "p1,i,2001,A,5,\n"
-            + "p2,i,2001," + "A" * (csv.field_size_limit() + 1) + ",5,\n",
-            encoding="utf-8",
-        )
-        assert run("summary", "--input", long, "--out-dir", tmp_path) == 1
-        assert capsys.readouterr().err == (
-            f"data error: line 3: field larger than field limit ({csv.field_size_limit()})\n"
-        )
-
-    def test_lone_carriage_return_is_data_error(self, tmp_path, capsys):
-        cr = tmp_path / "cr.csv"
-        cr.write_bytes((HEADER + "p1,i,2001,A,5,\n" + "p2,i,2001,A\rB,5,\n").encode())
-        assert run("summary", "--input", cr, "--out-dir", tmp_path) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("data error: line 3: new-line character seen in unquoted field")
-        assert len(err.splitlines()) == 1
-
-    def test_p0_whose_null_se_underflows_is_data_error(self, tmp_path, capsys):
-        assert run("topshare", "--input", DEMO, "--p0", "5e-324", "--inverted",
-                   "--out-dir", tmp_path) == 1
-        assert capsys.readouterr().err == (
-            "data error: one_sample_prop_z: the null SE is zero or underflows to zero\n"
-        )
-
-    def test_welch_df_denominator_that_underflows_is_data_error(self, tmp_path, capsys):
-        tiny = tmp_path / "tiny.csv"
-        tiny.write_text(HEADER + "p1,A,2001,X,1,0\np2,A,2001,X,2,1e-100\n"
-                        "p3,B,2001,X,3,0\np4,B,2001,X,4,1e-100\n", encoding="utf-8")
-        assert run("compare", "--input", tiny, "--pairs", "A:B", "--welch",
-                   "--out-dir", tmp_path) == 1
-        assert capsys.readouterr().err == (
-            "data error: two_sample_welch_t: the df denominator is zero\n"
-        )
-
-    def test_pooled_se_that_underflows_is_data_error(self, tmp_path, capsys):
-        # each SD is about 5e-162, so each variance is subnormal and the
-        # pooled SE underflows to 0.0, while summary's own SEs do not
-        tiny = tmp_path / "tiny.csv"
-        tiny.write_text(HEADER + "".join(
-            f"p{i},{'AB'[i // 50]},2001,X,{i},{'0' if i % 2 else '1e-161'}\n"
-            for i in range(100)
-        ), encoding="utf-8")
-        assert run("compare", "--input", tiny, "--pairs", "A:B", "--out-dir", tmp_path) == 1
-        assert capsys.readouterr().err == (
-            "data error: two_sample_pooled_t: the SE or SD is zero or underflows to zero\n"
-        )
-        assert run("summary", "--input", tiny, "--out-dir", tmp_path) == 0
-        assert capsys.readouterr().err == ""
-
-    def test_bytes_not_utf8_is_data_error(self, tmp_path, capsys):
-        latin = tmp_path / "latin1.csv"
-        latin.write_bytes(HEADER.encode() + b"p1,i,2001,A,5,\n" + b"p2,\xe9cole,2001,A,5,\n")
-        assert run("summary", "--input", latin, "--out-dir", tmp_path) == 1
-        assert capsys.readouterr().err == (
-            "data error: line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
-        )
-
     def test_rejects_written(self, tmp_path, capsys):
         messy = tmp_path / "messy.csv"
         messy.write_text(
@@ -723,28 +584,6 @@ class TestErrorPaths:
             rows = (out / "summary.tsv").read_text().splitlines()
             assert "\t".join(["N", "4", n_b]) in rows
 
-    def test_config_file_not_utf8(self, inst_csv, tmp_path, capsys):
-        config = tmp_path / "run.cfg"
-        config.write_bytes(b"mu0 = \xff\n")
-        assert run("summary", "--input", inst_csv, "--config", config,
-                   "--out-dir", tmp_path / "out") == 2
-        assert capsys.readouterr().err == (
-            f"configuration error: {config}: 'utf-8' codec can't decode byte 0xff in position 6: "
-            "invalid start byte\n"
-        )
-
-    @pytest.mark.parametrize("key", ["out_dir", "input", "mu0"])
-    def test_nul_byte_in_a_config_value(self, inst_csv, tmp_path, capsys, key):
-        config = tmp_path / "run.cfg"
-        config.write_text(f"{key} = a\0b\n", encoding="utf-8")
-        argv = ["summary", "--config", config]
-        argv += [] if key == "input" else ["--input", inst_csv]
-        argv += [] if key == "out_dir" else ["--out-dir", tmp_path / "out"]
-        assert run(*argv) == 2
-        assert capsys.readouterr().err == (
-            f"configuration error: {key} must not hold a NUL byte, got 'a\\x00b'\n"
-        )
-
     def test_config_comments_and_blank_lines_are_skipped(self, inst_csv, tmp_path, capsys):
         seen = []
         for k, text in enumerate(["mu0 = 40\nformat = tsv\n",
@@ -756,17 +595,6 @@ class TestErrorPaths:
             seen.append((code, capsys.readouterr(), (out / "summary.tsv").read_bytes()))
         assert seen[0] == seen[1] == seen[2]
         assert seen[0][0] == 0 and b"test of mean = 40)" in seen[0][2]
-
-    @pytest.mark.parametrize("line, message", [
-        ("scheme incites", "expected key=value, got 'scheme incites'"),
-        ("bogus = 1", "unknown config key 'bogus'"),
-    ])
-    def test_bad_config_line_exits_2(self, inst_csv, tmp_path, capsys, line, message):
-        config = tmp_path / "run.cfg"
-        config.write_text(line + "\n", encoding="utf-8")
-        assert run("summary", "--input", inst_csv, "--config", config,
-                   "--out-dir", tmp_path / "out") == 2
-        assert capsys.readouterr().err == f"configuration error: {config}:1: {message}\n"
 
 
 class TestOptionValues:
@@ -818,12 +646,6 @@ class TestOptionValues:
         monkeypatch.setenv("PCT_IMPACT_SEED", "-5")
         assert self.run_with(inst_csv, command, "statistic", "mean", "flag") == 2
         assert capsys.readouterr().err == "configuration error: seed must be >= 0, got -5\n"
-
-    def test_non_integer_seed_from_the_environment_exits_2(self, inst_csv, capsys, monkeypatch):
-        monkeypatch.setenv("PCT_IMPACT_SEED", "abc")
-        assert self.run_with(inst_csv, "summary", "statistic", "mean", "flag") == 2
-        err = capsys.readouterr().err
-        assert err == "configuration error: seed must be an integer, got 'abc'\n"
 
     @pytest.mark.parametrize("spelling", ["flag", "config"])
     @pytest.mark.parametrize("command", sorted(_COMMANDS))
@@ -891,43 +713,3 @@ class TestOptionValues:
         assert "--statistic {mean,mean-diff,proportion,prop-diff}" in text
         assert "--scheme {common,incites}" in text
 
-
-@pytest.mark.parametrize("command", [
-    ("summary", "inst_csv", "--format", "tsv,json,svg"),
-    ("percentiles", "tie_csv"),
-])
-def test_fresh_process_matches_in_process(command, request, tmp_path, capsys):
-    """python -m pct_impact.cli exits, prints and writes what main() does:
-    every output file is complete before the process entry point exits."""
-    name, fixture, *flags = command
-    out = tmp_path / "out"
-    argv = [name, "--input", str(request.getfixturevalue(fixture)), "--out-dir", str(out),
-            *flags]
-
-    def outputs():
-        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        for p in out.iterdir():
-            p.unlink()
-        return files
-
-    code = main(argv)
-    captured = capsys.readouterr()
-    in_process = (code, captured.out.encode(), captured.err.encode(), outputs())
-    env = dict(os.environ, PYTHONPATH=str(Path(pct_impact.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "pct_impact.cli", *argv],
-                          env=env, capture_output=True)
-    assert (proc.returncode, proc.stdout, proc.stderr, outputs()) == in_process
-    assert in_process[0] == 0 and in_process[3]
-
-
-def test_out_dir_that_is_not_utf8_under_a_strict_stdout(tmp_path):
-    """The 'wrote ... to <path>' line prints the directory's own bytes."""
-    out = tmp_path / os.fsdecode(b"\xff")
-    env = dict(os.environ, PYTHONPATH=str(Path(pct_impact.__file__).parents[1]),
-               PYTHONIOENCODING="utf-8:strict")
-    proc = subprocess.run([sys.executable, "-m", "pct_impact.cli", "percentiles",
-                           "--input", str(DEMO), "--out-dir", str(out)],
-                          env=env, capture_output=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith(b" to " + os.fsencode(out / "percentiles.csv") + b"\n")
-    assert sorted(p.name for p in out.iterdir()) == ["percentiles.csv"]

@@ -7,9 +7,10 @@ independent recomputation in the test body.
 
 import math
 import re
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pct_impact.effects import (
@@ -213,6 +214,37 @@ class TestWelch:
         a = SummaryStats.from_moments(5, 1.0, 0.0)
         with pytest.raises(DegenerateVarianceError):
             two_sample_welch_t(a, a)
+
+
+def _square(x):
+    """The correctly rounded square of x."""
+    return float(Fraction(x) ** 2)
+
+
+class TestSquares:
+    """Every square is a product, which IEEE arithmetic rounds correctly;
+    x ** 2 calls the C library's pow, which need not."""
+
+    def test_sd_where_pow_rounds_otherwise(self):
+        assert summarize([24.9, 21.3, 39.6]).sd == 9.694843990493093
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.lists(st.floats(0.0, 100.0), min_size=2, max_size=30),
+           b=st.lists(st.floats(0.0, 100.0), min_size=2, max_size=30))
+    def test_match_a_reference_with_exact_squares(self, a, b):
+        sa, sb = summarize(a), summarize(b)
+        assume(sa.sd > 1e-50 and sb.sd > 1e-50)  # no square underflows
+        for values, s in ((a, sa), (b, sb)):
+            assert s.sd == math.sqrt(math.fsum(_square(v - s.mean) for v in values) / (s.n - 1))
+        sp = math.sqrt(((sa.n - 1) * _square(sa.sd) + (sb.n - 1) * _square(sb.sd))
+                       / (sa.n + sb.n - 2))
+        assert pooled_sd(sa, sb) == sp
+        pooled = two_sample_pooled_t(sa, sb)
+        assert pooled.se == math.sqrt(_square(sp) * (sa.n + sb.n) / (sa.n * sb.n))
+        va, vb = _square(sa.sd) / sa.n, _square(sb.sd) / sb.n
+        welch = two_sample_welch_t(sa, sb)
+        assert welch.se == math.sqrt(va + vb)
+        assert welch.df == _square(va + vb) / (_square(va) / (sa.n - 1) + _square(vb) / (sb.n - 1))
 
 
 class TestOneSampleProportion:

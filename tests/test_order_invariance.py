@@ -12,9 +12,7 @@ first's, except:
 - percentiles.csv has a line per paper in input order, so its lines are
   compared as a sorted list;
 - rejects.csv names the line of each rejected row, so its reasons are
-  compared as a sorted list;
-- bootstrap is not run: its pinned draws index each sample's papers in
-  dataset order, so a row permutation moves its interval.
+  compared as a sorted list.
 
 A paper's second row is drawn only as a consistent merge (the same fields,
 another category): of two rows of a paper that conflict, the first is kept
@@ -35,7 +33,8 @@ from pct_impact import cli
 
 LABELS = ["A", "B", "C"]
 HEADER = ["id", "institution", "pub_year", "category", "citations", "inv_percentile"]
-COMMANDS = ["percentiles", "summary", "compare", "topshare", "topcompare", "robustness"]
+COMMANDS = ["percentiles", "summary", "compare", "topshare", "topcompare", "robustness",
+            "bootstrap"]
 
 
 @st.composite
@@ -67,12 +66,18 @@ def runs(draw, command):
             "--format", "tsv,json,svg",
             "--scheme", draw(st.sampled_from(["common", "incites"]))]
     argv += [flag for flag in ("--inverted", "--zero-adjust") if draw(st.booleans())]
-    if command in ("compare", "topcompare"):
+    if command in ("compare", "topcompare", "bootstrap"):
         argv += ["--pairs", f"{labels[0]}:{labels[-1]}"]
     if command == "compare":
         argv += ["--welch", "--mann-whitney"]
     if command in ("topshare", "topcompare"):
         argv += ["--counting", draw(st.sampled_from(["binary", "fractional"]))]
+    if command == "bootstrap":
+        argv += ["--statistic", draw(st.sampled_from(["mean", "mean-diff", "proportion",
+                                                      "prop-diff"])),
+                 "--institution", labels[0], "--bootstrap-reps", "200",
+                 "--ci", draw(st.sampled_from(["normal", "percentile"])),
+                 "--counting", "fractional"]
     columns = HEADER if pct != "absent" else HEADER[:5]
     return columns, [row[:len(columns)] for row in rows], argv
 
