@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import json
 import math
 import os
@@ -26,14 +25,7 @@ from typing import NamedTuple, Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
-from .data import (
-    Dataset,
-    _csv_field,
-    _needs_quotes,
-    filter_years,
-    parse_records,
-    write_rejects_report,
-)
+from .data import Dataset, _csv_field, _needs_quotes, filter_years, parse_records
 from .effects import summarize
 from .errors import ConfigurationError, DataError, SampleSizeError, UnknownInstitutionError
 from .percentiles import (
@@ -47,6 +39,7 @@ from .svgchart import CiChartSpec, CiSeries, render_ci_chart
 from .tables import ReportTable, compare_table, summary_table, topcompare_table, topshare_table
 
 SEED_ENV_VAR = "PCT_IMPACT_SEED"
+_BLOCK_ROWS = 65536  # rows of percentiles.csv formatted at a time, to bound its memory
 
 
 class AnalysisConfig(NamedTuple):
@@ -234,15 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_dataset(cfg: AnalysisConfig) -> Dataset:
     if not cfg.input:
         raise ConfigurationError("no input file given (use --input or a config file)")
-    path = Path(cfg.input)
-    if not path.exists():
-        raise ConfigurationError(f"input file not found: {path}")
-    with open(path, "rb") as fh:
+    with open(cfg.input, "rb") as fh:
         dataset, rejects = parse_records(fh)
     if rejects:
-        report = io.StringIO()
-        write_rejects_report(rejects, report)
-        path = _write_text(cfg, "rejects.csv", report.getvalue())
+        lines = (f"{r.row},{_csv_field(r.reason)}\n" for r in rejects)
+        path = _write_text(cfg, "rejects.csv", "row,reason\n", *lines)
         print(f"warning: {len(rejects)} row(s) rejected; see {path}", file=sys.stderr)
     if cfg.last_year is not None:
         dataset = filter_years(dataset, cfg.last_year)
@@ -315,11 +304,13 @@ def _top_counts(cfg: AnalysisConfig, dataset: Dataset) -> dict[str, tuple[float,
     return {label: (math.fsum(v), len(v)) for label, v in weights.items()}
 
 
-def _write_text(cfg: AnalysisConfig, name: str, text: str) -> Path:
+def _write_text(cfg: AnalysisConfig, name: str, *texts: str) -> Path:
+    """Write texts, in order, to the file name in the out-dir."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(texts)
     return path
 
 
@@ -355,17 +346,20 @@ def cmd_percentiles(cfg: AnalysisConfig) -> int:
     sizes = np.diff(dataset.set_membership.bounds).tolist()
     for label, size, ties in zip(best.set_labels, sizes, best.set_tie_groups.tolist()):
         print(f"reference set {label}: {size} papers, {ties} tie group(s)", file=sys.stderr)
-    lines = ["paper_id,reference_set,rank,percentile,tie_group_size,top_x_weight\n"]
     labels = tuple(map(_csv_field, best.set_labels))
     ids = dataset.ids
     if _needs_quotes("".join(ids)):  # one scan of all ids costs less than one per id
-        ids = map(_csv_field, ids)
-    for pid, j, rank, pct, tied, weight in zip(
-        ids, best.best_set.tolist(), best.rank.tolist(),
-        best.percentile.tolist(), best.tied_with.tolist(), best.top_x_weight.tolist(),
-    ):
-        lines.append(f"{pid},{labels[j]},{rank},{pct:.6g},{tied},{weight:.6g}\n")
-    path = _write_text(cfg, "percentiles.csv", "".join(lines))
+        ids = tuple(map(_csv_field, ids))
+    columns = (best.best_set, best.rank, best.percentile, best.tied_with, best.top_x_weight)
+
+    def block(lo: int) -> str:
+        rows = zip(ids[lo:lo + _BLOCK_ROWS], *(c[lo:lo + _BLOCK_ROWS].tolist() for c in columns))
+        return "".join([f"{pid},{labels[j]},{rank},{pct:.6g},{tied},{weight:.6g}\n"
+                        for pid, j, rank, pct, tied, weight in rows])
+
+    header = "paper_id,reference_set,rank,percentile,tie_group_size,top_x_weight\n"
+    blocks = map(block, range(0, len(dataset), _BLOCK_ROWS))
+    path = _write_text(cfg, "percentiles.csv", header, *blocks)
     print(f"wrote {len(dataset)} percentile assignments to {path}")
     return 0
 
@@ -510,8 +504,9 @@ def cmd_bootstrap(cfg: AnalysisConfig) -> int:
         per_paper = _top_weights(cfg, dataset)
     else:
         per_paper, _ = _analysis_percentiles(cfg, dataset)
-    # each sample sorted, so that the draws do not depend on the input's row order
-    values = {k: sorted(v) for k, v in _institution_values(dataset, per_paper).items()}
+    # each sample sorted, so that the draws do not depend on row order; a stable sort
+    # keeps equal values, such as -0.0 and 0.0, in row order
+    values = {k: np.sort(per_paper[r], kind="stable") for k, r in dataset.institution_rows.items()}
 
     # significance is reported as interval exclusion of the natural null
     null_value = {
@@ -559,7 +554,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except DataError as exc:
             print(f"data error: {exc}", file=sys.stderr)
             return 1
-        except (ConfigurationError, OSError) as exc:  # OSError: an unreadable path
+        except (ConfigurationError, OSError) as exc:
+            if isinstance(exc, OSError) and exc.filename is not None:  # a path to read or write
+                exc = f"{exc.filename}: {exc.strerror}"
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
 

@@ -59,7 +59,6 @@ __all__ = [
     "Dataset",
     "RejectedRow",
     "parse_records",
-    "write_rejects_report",
     "filter_years",
     "group_reference_sets",
     "select_institution_sample",
@@ -545,12 +544,6 @@ def _csv_field(text: str) -> str:
     """text as csv.writer writes a field: quoted, with each quote doubled,
     when it holds a comma, a quote or a line break."""
     return '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
-
-
-def write_rejects_report(rejects: Sequence[RejectedRow], stream: IO[str]) -> None:
-    """Rejects report contract: CSV with columns row,reason."""
-    stream.write("row,reason\n")
-    stream.writelines(f"{r.row},{_csv_field(r.reason)}\n" for r in rejects)
 
 
 def filter_years(dataset: Dataset, last_year: int) -> Dataset:

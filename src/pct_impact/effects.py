@@ -144,11 +144,13 @@ def _mean_test(
     sd: float, sp: Optional[float] = None,
 ) -> MeanTestResult:
     """t = (estimate - null) / se and d = (estimate - null) / sd, with the
-    two-tailed p, t interval and magnitude of d; se and sd must be > 0."""
+    two-tailed p, t interval and magnitude of d; se and sd > 0, t and d finite."""
     if not (se > 0 and sd > 0):
         raise DegenerateVarianceError(f"{test}: the SE or SD is zero or underflows to zero")
     t = (estimate - null) / se
     d = (estimate - null) / sd
+    if not (math.isfinite(t) and math.isfinite(d)):
+        raise DegenerateVarianceError(f"{test}: t and d must be finite, got t = {t}, d = {d}")
     crit = t_quantile(_upper_quantile(test, ci_level), df)
     return MeanTestResult(
         estimate=estimate,
@@ -208,8 +210,11 @@ def pooled_sd(a: SummaryStats, b: SummaryStats) -> float:
         raise SampleSizeError("pooled_sd: need n1 + n2 >= 3")
     if a.sd == 0 and b.sd == 0:
         raise DegenerateVarianceError("pooled_sd: both sample SDs are zero")
-    num = (a.n - 1) * (a.sd * a.sd) + (b.n - 1) * (b.sd * b.sd)
-    return math.sqrt(num / (a.n + b.n - 2))
+    # scaled by a power of two (exact), so that the larger SD's square cannot underflow
+    s = math.ldexp(1.0, -math.frexp(max(a.sd, b.sd))[1])
+    sa, sb = a.sd * s, b.sd * s
+    num = (a.n - 1) * (sa * sa) + (b.n - 1) * (sb * sb)
+    return math.sqrt(num / (a.n + b.n - 2)) / s
 
 
 def two_sample_pooled_t(
@@ -221,7 +226,8 @@ def two_sample_pooled_t(
     Cohen's d is the difference divided by the pooled SD.
     """
     sp = pooled_sd(a, b)
-    se = math.sqrt(sp * sp * (a.n + b.n) / (a.n * b.n))
+    s = math.ldexp(1.0, -math.frexp(sp)[1])  # as in pooled_sd
+    se = math.sqrt((sp * s) * (sp * s) * (a.n + b.n) / (a.n * b.n)) / s
     return _mean_test(
         "two_sample_pooled_t", ci_level, a.mean - b.mean, 0.0, se, a.n + b.n - 2, sp, sp
     )
@@ -238,13 +244,15 @@ def two_sample_welch_t(
     """
     if a.n < 2 or b.n < 2 or a.sd is None or b.sd is None:
         raise SampleSizeError("two_sample_welch_t: both groups need n >= 2")
-    va, vb = a.sd * a.sd / a.n, b.sd * b.sd / b.n
+    s = math.ldexp(1.0, -math.frexp(max(a.sd, b.sd))[1])  # as in pooled_sd; df is free of s
+    sa, sb = a.sd * s, b.sd * s
+    va, vb = sa * sa / a.n, sb * sb / b.n
     df_denominator = va * va / (a.n - 1) + vb * vb / (b.n - 1)
     if df_denominator == 0:
         raise DegenerateVarianceError("two_sample_welch_t: the df denominator is zero")
     sp = pooled_sd(a, b)
     return _mean_test(
-        "two_sample_welch_t", ci_level, a.mean - b.mean, 0.0, math.sqrt(va + vb),
+        "two_sample_welch_t", ci_level, a.mean - b.mean, 0.0, math.sqrt(va + vb) / s,
         (va + vb) * (va + vb) / df_denominator, sp, sp,
     )
 

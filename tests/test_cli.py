@@ -288,6 +288,23 @@ class TestPercentilesCommand:
         assert [row[0] for row in rows[1:]] == ["p,1", "p2", "p3"]
         assert [row[1] for row in rows[1:]] == ["X,Y:2001", "X,Y:2001", 'Q"Z:2001']
 
+    def test_blocks_write_the_bytes_of_one_block(self, tmp_path, monkeypatch):
+        """percentiles.csv formatted a few rows at a time, the last block
+        short, equals the file written as one block; quoted ids included."""
+        csv_path = tmp_path / "blocks.csv"
+        csv_path.write_text(
+            "id,institution,pub_year,category,citations\n"
+            + "".join(f'"p,{i}",{"AB"[i % 2]},2001,"X{i % 3}|Y",{i * 7 % 5}\n' for i in range(20)),
+            encoding="utf-8",
+        )
+        argv = ("percentiles", "--input", csv_path, "--inverted", "--out-dir")
+        assert run(*argv, tmp_path / "one") == 0
+        monkeypatch.setattr("pct_impact.cli._BLOCK_ROWS", 3)
+        assert run(*argv, tmp_path / "blocks") == 0
+        one = (tmp_path / "one" / "percentiles.csv").read_bytes()
+        assert (tmp_path / "blocks" / "percentiles.csv").read_bytes() == one
+        assert one.count(b'"p,') == 20
+
 
 class TestQuotedInput:
     @pytest.mark.parametrize("argv", [

@@ -18,7 +18,6 @@ from pct_impact.data import (
     group_reference_sets,
     parse_records,
     select_institution_sample,
-    write_rejects_report,
 )
 from pct_impact.errors import (
     ConfigurationError,
@@ -256,17 +255,6 @@ class TestSerializeRoundTrip:
         assert parse_records(messy_header + "".join(messy)) == parse_records(
             HEADER + "".join(canonical)
         )
-
-    def test_rejects_report_format(self):
-        _, rejects = parse_records(
-            HEADER + "p1,i,2001,A,-1,\n" + "p2,i,2001,A,1,\n",
-            reject_threshold=0.9,
-        )
-        buf = io.StringIO()
-        write_rejects_report(rejects, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "row,reason"
-        assert lines[1].startswith("2,")
 
 
 class TestFilterYears:

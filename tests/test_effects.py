@@ -7,6 +7,7 @@ independent recomputation in the test body.
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from pct_impact.effects import (
     Magnitude,
     SummaryStats,
+    _mean_test,
     ci_overlap_verdict,
     classify_magnitude,
     cohens_h_one,
@@ -368,6 +370,56 @@ def test_t_tests_on_tiny_or_zero_sds(a, b, mu0):
     finite_or_degenerate(one_sample_t, a, mu0)
     finite_or_degenerate(two_sample_pooled_t, a, b)
     finite_or_degenerate(two_sample_welch_t, a, b)
+
+
+def test_t_or_d_that_overflows_is_refused():
+    """An SD so small that t and d overflow is degenerate, as a zero SD is."""
+    tiny_a = SummaryStats.from_moments(2, 0.0, 1e-307)
+    tiny_b = SummaryStats.from_moments(2, 50.0, 1e-307)
+    for test, args in ((one_sample_t, (tiny_a, 50.0)), (two_sample_pooled_t, (tiny_a, tiny_b)),
+                       (two_sample_welch_t, (tiny_a, tiny_b))):
+        message = f"{test.__name__}: t and d must be finite, got t = -inf, d = -inf"
+        with pytest.raises(DegenerateVarianceError, match=re.escape(message)):
+            test(*args)
+
+
+def _unscaled(a, b):
+    """The pooled SD and SE and the Welch SE and df by the formulas that do
+    not scale the SDs, or None where one of their steps underflows."""
+    sq_a, sq_b = a.sd * a.sd, b.sd * b.sd
+    num = (a.n - 1) * sq_a + (b.n - 1) * sq_b
+    sp = math.sqrt(num / (a.n + b.n - 2))
+    se_sq = sp * sp * (a.n + b.n) / (a.n * b.n)
+    va, vb = sq_a / a.n, sq_b / b.n
+    terms = (va * va / (a.n - 1), vb * vb / (b.n - 1))
+    steps = (sq_a, sq_b, num, sp * sp, se_sq, va, vb, va * va, vb * vb, *terms)
+    if min(steps) < sys.float_info.min:
+        return None
+    return sp, math.sqrt(se_sq), math.sqrt(va + vb), (va + vb) * (va + vb) / sum(terms)
+
+
+# n up to 5,000, means of percentiles and positive SDs down to 1e-300
+MOMENTS = st.builds(
+    SummaryStats, n=st.integers(2, 5000), mean=st.floats(0.0, 100.0),
+    sd=st.floats(-300.0, 2.0).map(lambda e: 10.0**e) | st.floats(1e-300, 100.0),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=MOMENTS, b=MOMENTS)
+def test_scaled_t_tests_never_refuse_and_keep_the_unscaled_bits(a, b):
+    """Both t tests are defined on any two samples with positive SDs; where
+    the unscaled formulas do not underflow, they give the same bits."""
+    pooled, welch = two_sample_pooled_t(a, b), two_sample_welch_t(a, b)
+    unscaled = _unscaled(a, b)
+    if unscaled is not None:
+        sp, se, welch_se, welch_df = unscaled
+        diff = a.mean - b.mean
+        n = a.n + b.n - 2
+        assert pooled == _mean_test("two_sample_pooled_t", 0.95, diff, 0.0, se, n, sp, sp)
+        assert welch == _mean_test(
+            "two_sample_welch_t", 0.95, diff, 0.0, welch_se, welch_df, sp, sp
+        )
 
 
 @settings(max_examples=300, deadline=None)
