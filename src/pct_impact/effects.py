@@ -84,8 +84,8 @@ class SummaryStats(NamedTuple):
         """Build from already-aggregated moments (e.g. a published table)."""
         if n < 1:
             raise ValueError(f"SummaryStats: n must be >= 1, got {n}")
-        if sd < 0:
-            raise ValueError(f"SummaryStats: sd must be >= 0, got {sd}")
+        if not (math.isfinite(mean) and math.isfinite(sd) and sd >= 0):
+            raise ValueError(f"SummaryStats: need a finite mean and sd >= 0, got {mean}, {sd}")
         return cls(n=n, mean=float(mean), sd=float(sd))
 
 
@@ -278,8 +278,8 @@ def one_sample_prop_z(
     effect size. count may be fractional when it comes from tie-weighted
     counting.
     """
-    if not 0 <= count <= n:
-        raise ValueError(f"one_sample_prop_z: need 0 <= count <= n, got {count}/{n}")
+    if n < 1 or not 0 <= count <= n:
+        raise ValueError(f"one_sample_prop_z: need n >= 1 and 0 <= count <= n, got {count}/{n}")
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"one_sample_prop_z: p0 must be in (0, 1), got {p0}")
     p = count / n
@@ -332,8 +332,8 @@ def ci_overlap_verdict(
     way about the .05 level, so the verdict never mentions it.
     """
     for name, (lo, hi) in (("ci_a", ci_a), ("ci_b", ci_b)):
-        if lo > hi:
-            raise ValueError(f"ci_overlap_verdict: {name} has lo > hi")
+        if not lo <= hi:
+            raise ValueError(f"ci_overlap_verdict: {name} needs lo <= hi, got {lo}, {hi}")
     overlap = ci_a[0] <= ci_b[1] and ci_b[0] <= ci_a[1]
     if overlap:
         return OverlapVerdict(True, "not significant at the .01 level")

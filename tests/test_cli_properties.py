@@ -1,15 +1,21 @@
 """Properties of whole command line runs on small generated CSV files.
 
-Each example writes one dataset in two spellings, csv.writer's minimal
-quoting and every field quoted, and runs one subcommand in process on the
-first spelling twice, on the second once, and once more with its options
-in a config file instead of flags. Labels and ids may hold ",", '"', ":"
-or non-ASCII letters, citations may be all zero or all tied, an
-inv_percentile column may be full or partial, a paper may have a second
-row that is merged into the first, and the rejected rows (a negative
-citation count, a second row of a paper with other citations, or an
-institution label holding a tab) may sit right at the 10% threshold or
-just above it.
+Each example draws one dataset and runs one subcommand in process on it five
+times: written with csv.writer's minimal quoting, with every field quoted,
+with its options in a config file instead of flags, with its header's columns
+permuted, and with its rows permuted. The first four runs must be
+byte-identical. The last must equal the first once percentiles.csv's lines
+(one per paper, in input order) and rejects.csv's reasons (each names its
+line) are sorted. Rows that share an id keep their input order, because of
+two rows of a paper that conflict, the first is kept by contract.
+
+Labels and ids may hold ",", '"', ":" or non-ASCII letters, citations may be
+all zero or all tied, an inv_percentile column may be full or partial, the
+first institution may hold the top count in two reference sets, a paper may
+have a second row that is merged into the first, --last-year may drop the
+2002 rows, and the rejected rows (a negative citation count, a second row of
+a paper with other citations, or an institution label holding a tab) may sit
+right at the 10% threshold or just above it.
 """
 
 import csv
@@ -42,12 +48,11 @@ def runs(draw, command):
     """A dataset's rows, whether it starts with a byte-order mark, the
     arguments of the subcommand and the institution labels drawn."""
     labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3, unique=True))
-    n = draw(st.integers(1, 24))
     citations = draw(st.sampled_from(["zero", "tied", "mixed"]))
     two_categories = draw(st.booleans())
     pct = draw(st.sampled_from(["absent", "full", "partial"]))
     rows = []
-    for k in range(n):
+    for k in range(draw(st.integers(1, 24))):
         given_pct = pct == "full" or pct == "partial" and draw(st.booleans())
         rows.append([
             f"p{k}{draw(st.sampled_from(ID_MARKS))}",
@@ -57,13 +62,16 @@ def runs(draw, command):
             {"zero": "0", "tied": "5", "mixed": str(draw(st.integers(0, 9)))}[citations],
             draw(st.sampled_from(["0", "10", "37.5", "100"])) if given_pct else "",
         ])
+    if draw(st.booleans()):  # the first institution's top count, for robustness's tie pick
+        p = "5" if pct == "full" else ""
+        rows += [["t1", labels[0], "2001", "X", "10", p], ["t2", labels[0], "2002", "Y", "10", p]]
     papers = list(rows)
-    merged = draw(st.booleans())
-    if merged:  # a second row of a paper, with another category
+    if draw(st.booleans()):  # a second row of a paper, with another category
         first = draw(st.sampled_from(papers))
         other = {"X": "Y", "Y": "X"}.get(first[3], first[3])
         rows.insert(draw(st.integers(0, len(rows))), first[:3] + [other] + first[4:])
     # n // 9 rejects of n + n // 9 rows are at most 10%; one more is above
+    n = len(papers)
     for j in range(draw(st.sampled_from([0, n // 9, n // 9 + 1]))):
         kind = draw(st.sampled_from(["negative", "conflict", "tab"]))
         if kind == "conflict":  # a paper's second row, with other citations
@@ -77,6 +85,8 @@ def runs(draw, command):
     argv = [command, "--top-x", draw(st.sampled_from(TOP_X)), "--format", "tsv,json,svg",
             "--scheme", draw(st.sampled_from(["common", "incites"]))]
     argv += [flag for flag in ("--inverted", "--zero-adjust") if draw(st.booleans())]
+    if draw(st.booleans()):
+        argv += ["--last-year", "2001"]
     pairs = f"{_quoted(labels[0])}:{_quoted(labels[-1])}"
     if command in ("compare", "topcompare", "bootstrap"):
         argv += ["--pairs", pairs]
@@ -87,16 +97,23 @@ def runs(draw, command):
     if command == "bootstrap":
         statistic = draw(st.sampled_from(["mean", "mean-diff", "proportion", "prop-diff"]))
         argv += ["--statistic", statistic, "--institution", labels[0],
-                 "--bootstrap-reps", "20"]
+                 "--bootstrap-reps", "20", "--ci", draw(st.sampled_from(["normal", "percentile"]))]
     return rows, draw(st.booleans()), argv, labels
 
 
-def _spelling(rows, bom, quoting):
+def _spelling(header, rows, bom, quoting=csv.QUOTE_MINIMAL):
     out = io.StringIO()
     writer = csv.writer(out, quoting=quoting, lineterminator="\n")
-    writer.writerow(HEADER)
+    writer.writerow(header)
     writer.writerows(rows)
     return (("\ufeff" if bom else "") + out.getvalue()).encode("utf-8")
+
+
+def _shuffled(rows, order):
+    """rows in the drawn order, except that the rows of one id keep their
+    input order: at each step, the next row of that step's row's id."""
+    next_row = {pid: iter([row for row in rows if row[0] == pid]) for pid, *_ in rows}
+    return [next(next_row[rows[i][0]]) for i in order]
 
 
 def _config(argv):
@@ -126,6 +143,17 @@ def _run(root, name, data, argv, config=False):
     assert "Traceback" not in stderr.getvalue()
     text = (stdout.getvalue() + stderr.getvalue()).replace(str(work), "<work>")
     files = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))}
+    return code, text, files
+
+
+def _sorted(run):
+    """A run with percentiles.csv's lines and rejects.csv's reasons sorted."""
+    code, text, files = run
+    files = dict(files)
+    if "percentiles.csv" in files:
+        files["percentiles.csv"] = sorted(files["percentiles.csv"].splitlines())
+    if "rejects.csv" in files:
+        files["rejects.csv"] = sorted(r for _, r in _table("rejects.csv", files["rejects.csv"]))
     return code, text, files
 
 
@@ -163,29 +191,37 @@ def _table(name, data):
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 @given(data=st.data())
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=20, deadline=None)
 def test_cli_runs(command, data):
     rows, bom, argv, labels = data.draw(runs(command))
+    order = data.draw(st.permutations(range(len(rows))))
+    columns = data.draw(st.permutations(range(len(HEADER))))
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        minimal = _spelling(rows, bom, csv.QUOTE_MINIMAL)
+        minimal = _spelling(HEADER, rows, bom)
         plain = _run(root, "plain", minimal, argv)
-        assert _run(root, "rerun", minimal, argv) == plain
-        assert _run(root, "quoted", _spelling(rows, bom, csv.QUOTE_ALL), argv) == plain
+        assert _run(root, "quoted", _spelling(HEADER, rows, bom, csv.QUOTE_ALL), argv) == plain
         assert _run(root, "config", minimal, argv, config=True) == plain
+        permuted = _spelling([HEADER[j] for j in columns],
+                             [[row[j] for j in columns] for row in rows], bom)
+        assert _run(root, "columns", permuted, argv) == plain
+        shuffled = _spelling(HEADER, _shuffled(rows, order), bom)
+        assert _sorted(_run(root, "rows", shuffled, argv)) == _sorted(plain)
     code, text, files = plain
     event(f"exit {code}")
 
     reasons = _reasons(rows)
-    # the rows that are no negative count or tab label: a conflicting row
-    # among them has the institution and inv_percentile of a kept row
-    kept = [row for row in rows if row[4] != "-1" and "\t" not in row[1]]
+    # the rows that are no negative count or tab label and that --last-year
+    # keeps: a conflicting row among them has the institution and
+    # inv_percentile of a kept row
+    kept = [row for row in rows if row[4] != "-1" and "\t" not in row[1]
+            and (row[2] == "2001" or "--last-year" not in argv)]
     looked_up = _top_x_lookups(argv, labels)
     over_threshold = len(reasons) / len(rows) > 0.10
     # the one configuration error a drawn run can meet: binary top-x
     # counting with neither --inverted nor an inv_percentile on every row
     needs_inverted = (
-        not over_threshold and looked_up is not None
+        not over_threshold and bool(kept) and looked_up is not None
         and {row[1] for row in kept}.issuperset(looked_up)
         and "--inverted" not in argv and not all(row[5] for row in kept)
     )

@@ -82,6 +82,12 @@ class TestSummarize:
         assert s.sd == pytest.approx(27.49, abs=0.01)
         assert s.se == pytest.approx(1.17, abs=0.01)
 
+    @pytest.mark.parametrize("mean, sd", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                          (1.0, math.inf)])
+    def test_from_moments_refuses_a_nan_or_infinite_moment(self, mean, sd):
+        with pytest.raises(ValueError):
+            SummaryStats.from_moments(3, mean, sd)
+
 
 class TestOneSampleT:
     def test_institution2_row(self):
@@ -276,6 +282,10 @@ class TestOneSampleProportion:
     def test_count_domain(self):
         with pytest.raises(ValueError):
             one_sample_prop_z(11, 10, 0.5)
+
+    def test_empty_sample(self):
+        with pytest.raises(ValueError):
+            one_sample_prop_z(0, 0, 0.1)
 
 
 class TestCohensH:
@@ -479,4 +489,11 @@ class TestCiOverlap:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             ci_overlap_verdict((2.0, 1.0), (0.0, 1.0))
+
+    @pytest.mark.parametrize("ci", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_nan_bound(self, ci):
+        with pytest.raises(ValueError):
+            ci_overlap_verdict(ci, (0.0, 1.0))
+        with pytest.raises(ValueError):
+            ci_overlap_verdict((0.0, 1.0), ci)
 
