@@ -21,13 +21,14 @@ import re
 import sys
 import warnings
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, get_args, get_type_hints
+from typing import Iterable, NamedTuple, Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
 from .data import Dataset, _csv_field, _needs_quotes, filter_years, parse_records
 from .effects import summarize
-from .errors import ConfigurationError, DataError, SampleSizeError, UnknownInstitutionError
+from .errors import (ConfigurationError, DataError, DegenerateReferenceError,
+                     SampleSizeError, UnknownInstitutionError)
 from .percentiles import (
     PercentileFormula,
     PercentileScheme,
@@ -138,6 +139,7 @@ _CHECKS = (
     *((key, allowed.__contains__, ", ".join(allowed[:-1]) + " or " + allowed[-1])
       for key, allowed in _CHOICES.items()),
     ("bootstrap_reps", lambda v: v >= 1, ">= 1"),
+    ("bootstrap_reps", lambda v: v <= 1000000, "<= 1000000"),
     ("seed", lambda v: v >= 0, ">= 0"),
     ("workers", lambda v: v >= 1, ">= 1"),
 )
@@ -264,22 +266,10 @@ def _analysis_percentiles(cfg: AnalysisConfig, dataset: Dataset) -> tuple[np.nda
     return best.percentile, cfg.inverted
 
 
-def _require_inverted(inverted: bool) -> None:
-    if not inverted:
-        raise ConfigurationError(
-            "top-x classification needs inverted percentiles; supply an "
-            "inv_percentile column or pass --inverted"
-        )
-
-
-def _require_known(dataset: Dataset, labels: Sequence[str]) -> None:
+def _require_known(dataset: Dataset, labels: Iterable[str]) -> None:
     for label in labels:
         if label not in dataset.institution_rows:
             raise UnknownInstitutionError(label, list(dataset.institution_rows))
-
-
-def _institution_values(dataset: Dataset, per_row: np.ndarray) -> dict[str, list[float]]:
-    return {label: per_row[rows].tolist() for label, rows in dataset.institution_rows.items()}
 
 
 def _top_weights(cfg: AnalysisConfig, dataset: Dataset) -> np.ndarray:
@@ -293,15 +283,20 @@ def _top_weights(cfg: AnalysisConfig, dataset: Dataset) -> np.ndarray:
     """
     if cfg.counting == "binary":
         pct, inverted = _analysis_percentiles(cfg, dataset)
-        _require_inverted(inverted)
+        if not inverted:
+            raise ConfigurationError(
+                "top-x classification needs inverted percentiles; supply an "
+                "inv_percentile column or pass --inverted"
+            )
         return (pct <= cfg.top_x).astype(float)
     return assign_best_percentiles(dataset, cfg.percentile_scheme, x=cfg.top_x).top_x_weight
 
 
 def _top_counts(cfg: AnalysisConfig, dataset: Dataset) -> dict[str, tuple[float, int]]:
     """(top count, n) per institution: the sum of its papers' top-x weights."""
-    weights = _institution_values(dataset, _top_weights(cfg, dataset))
-    return {label: (math.fsum(v), len(v)) for label, v in weights.items()}
+    weights = _top_weights(cfg, dataset)
+    return {label: (math.fsum(weights[rows].tolist()), len(rows))
+            for label, rows in dataset.institution_rows.items()}
 
 
 def _write_text(cfg: AnalysisConfig, name: str, *texts: str) -> Path:
@@ -368,9 +363,8 @@ def cmd_summary(cfg: AnalysisConfig) -> int:
     """mean percentile per institution vs mu0"""
     dataset = _load_dataset(cfg)
     pct, _ = _analysis_percentiles(cfg, dataset)
-    stats = {
-        label: summarize(vals) for label, vals in _institution_values(dataset, pct).items()
-    }
+    stats = {label: summarize(pct[rows].tolist())
+             for label, rows in dataset.institution_rows.items()}
     table = summary_table(stats, cfg.mu0, ci_level=cfg.ci_level)
     _emit_table(cfg, "summary", table)
     _emit_chart(
@@ -387,9 +381,10 @@ def cmd_compare(cfg: AnalysisConfig) -> int:
     """pairwise mean percentile differences"""
     dataset = _load_dataset(cfg)
     pairs = cfg.pair_list
-    _require_known(dataset, [label for pair in pairs for label in pair])
+    labels = dict.fromkeys(label for pair in pairs for label in pair)
+    _require_known(dataset, labels)
     pct, _ = _analysis_percentiles(cfg, dataset)
-    values = _institution_values(dataset, pct)
+    values = {label: pct[dataset.institution_rows[label]].tolist() for label in labels}
     table = compare_table(
         values,
         pairs,
@@ -469,6 +464,10 @@ def cmd_robustness(cfg: AnalysisConfig) -> int:
         except SampleSizeError:
             print(f"warning: institution {label!r} has n < 2; skipped", file=sys.stderr)
             continue
+        except DegenerateReferenceError:
+            print(f"warning: institution {label!r} has a paper whose reference sets are all "
+                  "uncited, so its MNCS is undefined; skipped", file=sys.stderr)
+            continue
         reports[label] = report
         print(f"Institution {label} (n = {report.n}):")
         print(
@@ -506,7 +505,8 @@ def cmd_bootstrap(cfg: AnalysisConfig) -> int:
         per_paper, _ = _analysis_percentiles(cfg, dataset)
     # each sample sorted, so that the draws do not depend on row order; a stable sort
     # keeps equal values, such as -0.0 and 0.0, in row order
-    values = {k: np.sort(per_paper[r], kind="stable") for k, r in dataset.institution_rows.items()}
+    rows = dataset.institution_rows
+    values = {k: np.sort(per_paper[rows[k]], kind="stable") for k in dict.fromkeys(labels)}
 
     # significance is reported as interval exclusion of the natural null
     null_value = {

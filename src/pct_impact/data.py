@@ -149,9 +149,7 @@ def _sort_split(keys: Iterable) -> tuple[list, np.ndarray, np.ndarray]:
     code = defaultdict(count().__next__)  # each key's place in first-seen order
     codes = np.fromiter(map(code.__getitem__, keys), np.int64)
     distinct = sorted(code)
-    place = np.empty(len(distinct), dtype=np.int64)
-    place[[code[k] for k in distinct]] = np.arange(len(distinct))
-    codes = place[codes]  # each key's place in distinct
+    codes = np.argsort([code[k] for k in distinct])[codes]  # each key's place in distinct
     counts = np.bincount(codes, minlength=len(distinct))
     return distinct, np.argsort(codes, kind="stable"), np.concatenate(([0], np.cumsum(counts)))
 

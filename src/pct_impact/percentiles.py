@@ -88,9 +88,9 @@ def _rank_in_sets(
 ) -> _SetRanks:
     """Rank every (set, paper) pair within its set, all sets in one pass.
 
-    Pair i is a paper with citations[i] in set set_ids[i]; set j holds
-    bounds[j + 1] - bounds[j] > 0 pairs, as in SetMembership.bounds. Pair
-    results come back in input order.
+    Pair i is a paper with citations[i] in set set_ids[i]; set j holds the
+    pairs at bounds[j]:bounds[j + 1], at least one, as in SetMembership.
+    Pair results come back in input order.
     The rank i is ascending (or descending when inverted) with max-tie
     resolution: a tie group at sorted positions j..k of its set all get
     rank k, so a tied paper never ranks better than the last paper it ties
@@ -98,16 +98,15 @@ def _rank_in_sets(
     formula, and zero_rank_adjust then pins uncited papers to the worst
     value. Each set's top-x weights come from _top_x_split.
     """
-    order = np.lexsort((citations, set_ids))
+    order = np.lexsort((citations, set_ids))  # each set stays in place
     c = citations[order]
-    s = set_ids[order]
     m = len(c)
     n_sets = len(bounds) - 1  # sorted by set, set j is c[bounds[j]:bounds[j + 1]]
     # tie groups: runs of equal (set, citations) in sorted order, group g at first[g]:last[g]
-    first = np.flatnonzero(np.concatenate(([True], (c[1:] != c[:-1]) | (s[1:] != s[:-1]))))
+    first = np.flatnonzero(np.r_[True, (c[1:] != c[:-1]) | (set_ids[1:] != set_ids[:-1])])
     last = np.concatenate((first[1:], [m]))
     size = last - first
-    g_set = s[first]
+    g_set = set_ids[first]
     g_cits = c[first]
     set_lo, set_hi = bounds[g_set], bounds[g_set + 1]
 
@@ -411,7 +410,8 @@ def assign_best_percentiles(
     sets = dataset.set_membership
     ranked = _rank_in_sets(sets.set_ids, sets.bounds, dataset.citations[sets.rows], scheme, x)
     better_first = ranked.percentile if scheme.inverted else -ranked.percentile
-    order = np.lexsort((sets.set_ids, better_first, sets.rows))
+    # stable, and the pairs are listed set by set, so on equal percentiles the first set wins
+    order = np.lexsort((better_first, sets.rows))
     paper = sets.rows[order]
     best = order[np.flatnonzero(np.r_[True, paper[1:] != paper[:-1]])]
     return BestPercentiles(

@@ -404,6 +404,25 @@ class TestRobustnessCommand:
             label: 100 * report["top_share"]["full"] for label, report in robustness.items()
         }
 
+    def test_institution_with_an_undefined_mncs_is_skipped_alone(self, tmp_path, capsys):
+        """A's set X is uncited, so A's MNCS is undefined. A's paper in Y sits
+        at Y's mean and at its 50% threshold, so B's reference mean and top-x
+        weights, and so B's entry, are the same with or without A's rows."""
+        a_rows = "a1,A,2001,X,0\na2,A,2001,X,0\na3,A,2001,Y,2\n"
+        b_rows = "b1,B,2001,Y,1\nb2,B,2001,Y,2\nb3,B,2001,Y,3\n"
+        entries = []
+        for name, rows in (("all", a_rows + b_rows), ("b", b_rows)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("id,institution,pub_year,category,citations\n" + rows)
+            assert run("robustness", "--input", path, "--out-dir", tmp_path / name,
+                       "--top-x", "50") == 0
+            entries.append(json.loads((tmp_path / name / "robustness.json").read_text()))
+        assert entries[0] == entries[1] and list(entries[0]) == ["B"]
+        assert capsys.readouterr().err == (
+            "warning: institution 'A' has a paper whose reference sets are all uncited, "
+            "so its MNCS is undefined; skipped\n"
+        )
+
 
 class TestBootstrapCommand:
     def test_mean_bootstrap_json(self, inst_csv, tmp_path, capsys):

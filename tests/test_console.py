@@ -43,6 +43,9 @@ POOLED = PCT_HEADER + b"".join(
     b"p%d,%s,2001,X,%d,%s\n" % (i, b"AB"[i // 50:i // 50 + 1], i, b"0" if i % 2 else b"1e-161")
     for i in range(100)
 )
+# every paper of A's set X is uncited, so A's MNCS is undefined
+UNCITED = HEADER + (b"a1,A,2001,X,0\na2,A,2001,X,0\na3,A,2001,Y,2\n"
+                    b"b1,B,2001,Y,1\nb2,B,2001,Y,2\nb3,B,2001,Y,3\n")
 LIMIT = csv.field_size_limit()
 DEMO_IN = ["--input", "demo.csv", "--out-dir", "out"]
 
@@ -115,6 +118,10 @@ CASES = [
          ["configuration error: this command needs --pairs a:b[,c:d...]"]),
     Case("mean_bootstrap_without_institution", {"demo.csv": DEMO}, ["bootstrap", *DEMO_IN], 2,
          ["configuration error: mean bootstrap needs --institution"]),
+    # more replicates than the bootstrap's arrays can hold, refused before any is drawn
+    Case("bootstrap_reps_over_the_limit", {"demo.csv": DEMO},
+         ["bootstrap", *DEMO_IN, "--institution", "1", "--bootstrap-reps", "9" * 20], 2,
+         ["configuration error: bootstrap_reps must be <= 1000000, got " + "9" * 20]),
     Case("binary_topshare_without_inverted", {"small.csv": SMALL},
          ["topshare", "--input", "small.csv", "--out-dir", "out"], 2,
          ["configuration error: top-x classification needs inverted percentiles; supply an "
@@ -143,6 +150,10 @@ CASES = [
          ["bootstrap", "--input", "small.csv", "--out-dir", "out", "--statistic", "mean",
           "--institution", "B"], 1,
          ["data error: sample needs at least 2 observations"]),
+    Case("robustness_with_an_undefined_mncs", {"uncited.csv": UNCITED},
+         ["robustness", "--input", "uncited.csv", "--out-dir", "out"], 0,
+         ["warning: institution 'A' has a paper whose reference sets are all uncited, so its "
+          "MNCS is undefined; skipped"]),
     Case("p0_whose_null_se_underflows", {"demo.csv": DEMO},
          ["topshare", *DEMO_IN, "--p0", "5e-324", "--inverted"], 1,
          ["data error: one_sample_prop_z: the null SE is zero or underflows to zero"]),
